@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(durable queue + result store) on "
                                      "a unix socket")
     p.add_argument("--state-dir", default="sweep-service", metavar="DIR",
-                   help="service state: journal, result store, run cache "
+                   help="service state: journal and result store "
                         "(default ./sweep-service); restarting on the "
                         "same dir resumes in-flight jobs")
     p.add_argument("--socket", default=None, metavar="PATH",

@@ -14,18 +14,21 @@ industrializes it:
   a broken pool by falling back to in-process execution **without**
   resetting retry budgets, and streams structured :class:`RunEvent`
   progress;
-* a versioned disk cache with **atomic, durable** writes (tmp file +
-  fsync + ``os.replace`` + directory fsync), a content digest, and
-  corruption recovery: a truncated, bit-flipped or malformed
-  ``.repro_cache/*.json`` entry is discarded and re-simulated instead of
-  crashing the command;
+* results in the content-addressed
+  :class:`~repro.experiments.store.ResultStore` under *cache_dir*
+  (``.repro_cache/`` by default): a digest-named object per payload and
+  a ``v<MODEL_VERSION>-<key>`` link per config, both written atomically
+  and durably; a torn or bit-flipped link or object is discarded and
+  re-simulated instead of crashing the command.  :func:`store_payload`
+  and :func:`load_cached_entry` are the executor's only two calls into
+  the store;
 * optional **validation** (``validate=True``): every payload — freshly
-  simulated or recalled from cache — is checked against the counter
+  simulated or recalled from the store — is checked against the counter
   invariants of :mod:`repro.validation.invariants`; configs that
   repeatedly fail validation are quarantined rather than retried
   forever, and FLOP conservation is checked across the optimization
-  ladder once the sweep completes.  Verdicts are recorded in the cached
-  payload (``__validation__``) and surfaced on :class:`ExecutionResult`;
+  ladder once the sweep completes.  Verdicts are surfaced on
+  :class:`ExecutionResult`;
 * an optional **journal** (``journal=<path>``): an append-only, fsynced
   checkpoint (:mod:`repro.experiments.journal`) that lets an interrupted
   sweep resume without re-running completed work and without granting
@@ -38,7 +41,6 @@ module; nothing here depends on ``Session``, so workers import cheaply.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -59,6 +61,7 @@ from repro.experiments.config import (
     resolve_mesh,
 )
 from repro.experiments.journal import SweepJournal, replay_journal
+from repro.experiments.store import ResultStore, payload_digest  # noqa: F401
 from repro.metrics.counters import (
     RunCounters,
     counters_from_dict,
@@ -67,8 +70,8 @@ from repro.metrics.counters import (
 from repro.obs.metrics import active as _metrics_active
 from repro.obs.tracer import active as _obs_active
 
-#: bump when the timing model OR the cache payload schema changes so
-#: stale disk caches are ignored (see EXPERIMENTS.md, "cache versioning").
+#: bump when the timing model OR the payload schema changes so stale
+#: stored results are ignored (see EXPERIMENTS.md, "cache versioning").
 MODEL_VERSION = "6"
 
 #: optimization ladder rungs exercised by the standard sweep (paper order).
@@ -191,6 +194,9 @@ class RunEvent:
     cache_hits: int = 0
     #: runs simulated from scratch so far (cache misses that completed).
     cache_misses: int = 0
+    #: content digest of the stored payload (``done`` events with the
+    #: disk store on): the event names the object it wrote.
+    digest: str = ""
 
 
 #: progress callback signature.
@@ -246,114 +252,52 @@ class SweepError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Versioned disk cache: atomic durable writes, digests, corruption recovery
+# The result store: digest-verified reads, atomic durable writes
 # ---------------------------------------------------------------------------
 
 
-def cache_path(cache_dir: str | os.PathLike, cfg: RunConfig) -> Path:
-    """Location of one config's cached counters."""
-    return Path(cache_dir) / f"v{MODEL_VERSION}-{cfg.key()}.json"
-
-
-def payload_digest(payload: dict) -> str:
-    """Content digest over the counter data (reserved ``__*`` metadata
-    keys excluded, so verdict annotations don't perturb it)."""
-    body = {k: v for k, v in payload.items() if not k.startswith("__")}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode()).hexdigest()
+def link_name(cfg: RunConfig) -> str:
+    """The store link a config's result is filed under.  It carries
+    :data:`MODEL_VERSION`, so a model bump orphans every stale result."""
+    return f"v{MODEL_VERSION}-{cfg.key()}"
 
 
 def load_cached_entry(cache_dir: str | os.PathLike,
                       cfg: RunConfig) -> tuple[Optional[RunCounters], str]:
-    """Read one cached run, reporting *why* a miss is a miss.
+    """Read one stored run, reporting *why* a miss is a miss.
 
     Returns ``(counters, "")`` on a hit, ``(None, "")`` for a simply
-    missing entry, and ``(None, reason)`` when a corrupt entry —
-    truncated write, bad JSON, wrong schema, missing or mismatching
-    content digest, non-finite counter values — was discarded.  The
-    corrupt entry is deleted so the caller re-simulates; the non-empty
-    reason lets the executor surface the repair as a ``cache_corrupt``
-    event instead of healing silently.
+    missing entry, and ``(None, reason)`` when a corrupt entry — torn
+    link, torn or bit-rotted object, wrong schema, non-finite counter
+    values — was found.  The store deletes a corrupt link or object so
+    the caller re-simulates; the non-empty reason lets the executor
+    surface the repair as a ``cache_corrupt`` event instead of healing
+    silently.
     """
-    path = cache_path(cache_dir, cfg)
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
+    store = ResultStore(cache_dir, metrics=_metrics_active())
+    payload = store.lookup(link_name(cfg))
+    if payload is None:
+        if store.stats.corrupt_links:
+            return None, "discarded corrupt cache entry: unreadable link"
+        if store.stats.corrupt_discarded:
+            return None, ("discarded corrupt cache entry: object failed "
+                          "its digest check")
         return None, ""
-    except OSError:
-        return None, ""
     try:
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise TypeError("counter payload must be a JSON object")
-        if data.get("__digest__") != payload_digest(data):
-            raise ValueError("content digest mismatch")
-        return counters_from_dict(data), ""
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        return None, f"discarded corrupt cache entry: {exc!r}"
+        return counters_from_dict(payload), ""
+    except (KeyError, TypeError, ValueError) as exc:
+        return None, f"ignored unusable cache entry: {exc!r}"
 
 
-def load_cached(cache_dir: str | os.PathLike, cfg: RunConfig) -> Optional[RunCounters]:
-    """Read one cached run; a missing *or corrupt* entry returns ``None``
-    (the corrupt entry is deleted).  See :func:`load_cached_entry` for
-    the corruption-reporting variant the executor uses — a damaged cache
-    must never crash a command *or* leak silently into artifacts.
-    """
-    return load_cached_entry(cache_dir, cfg)[0]
-
-
-def _dump_payload(payload: dict) -> str:
-    """Canonical cache text: key-sorted so identical counters serialize
-    to identical bytes regardless of which process produced them."""
-    return json.dumps(payload, sort_keys=True)
-
-
-def store_payload(cache_dir: str | os.PathLike, cfg: RunConfig, payload: dict) -> Path:
-    """Atomically and durably persist one run's counter dict.
-
-    The tmp file is fsynced before ``os.replace`` and the directory is
-    fsynced after, so a crash at any instant leaves either the old entry
-    or the complete new one — never an empty or torn file under the
-    final name.  A content digest is stamped into the payload so silent
-    on-disk corruption (bit rot, partial overwrite) is detectable at
-    load time.
-    """
-    target = cache_path(cache_dir, cfg)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    payload = dict(payload)
-    payload["__digest__"] = payload_digest(payload)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(_dump_payload(payload))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, target)
-        try:
-            dir_fd = os.open(target.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform without dir fsync
-            pass
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return target
-
-
-def store_cached(cache_dir: str | os.PathLike, cfg: RunConfig,
-                 run: RunCounters) -> Path:
-    """Atomically persist one run's :class:`RunCounters`."""
-    return store_payload(cache_dir, cfg, counters_to_dict(run))
+def store_payload(cache_dir: str | os.PathLike, cfg: RunConfig,
+                  payload: dict) -> Path:
+    """Persist one run's counter dict: one object put (skipped when the
+    same counters are already stored) and one link write, both atomic
+    and durable.  Returns the object's path; its stem is the digest."""
+    store = ResultStore(cache_dir, metrics=_metrics_active())
+    digest = store.put(payload)
+    store.link(link_name(cfg), digest)
+    return store.object_path(digest)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +445,7 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
     todo: deque = deque()
 
     def emit(kind: str, key: str, attempt: int = 1, wall_s: float = 0.0,
-             error: str = "") -> None:
+             error: str = "", digest: str = "") -> None:
         """Deliver one progress event; a crashing callback is an
         observability problem, never a reason to abort the sweep."""
         if tracer is not None:
@@ -515,7 +459,7 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
             return
         try:
             on_event(RunEvent(kind=kind, key=key, attempt=attempt,
-                              wall_s=wall_s, error=error,
+                              wall_s=wall_s, error=error, digest=digest,
                               queued=len(todo),
                               cache_hits=result.stats.cache_hits,
                               cache_misses=result.stats.simulated))
@@ -547,11 +491,8 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
         if cached is not None and validate:
             violations = check_payload(cfg, cached)
             if violations:
-                # corrupted-but-parseable entry: discard and re-simulate.
-                try:
-                    cache_path(cache_dir, cfg).unlink()
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
+                # corrupted-but-parseable entry: re-simulate; the fresh
+                # result re-links the config.
                 emit("invalid", key, error="; ".join(violations))
                 result.stats.validation_failures += 1
                 cached = None
@@ -645,12 +586,17 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
         result.stats.simulated += 1
         if validate:
             result.validation[key] = {"ok": True, "violations": []}
+        digest = ""
         if use_disk:
-            if validate:
-                payload = {**payload, "__validation__": {"ok": True}}
-            store_payload(cache_dir, cfg, payload)
+            if tracer is None:
+                digest = store_payload(cache_dir, cfg, payload).stem
+            else:
+                # a traced service job's worker stamped __trace__.
+                with tracer.span(f"store-write {key}", cat="store", key=key,
+                                 trace=payload.get("__trace__", "")):
+                    digest = store_payload(cache_dir, cfg, payload).stem
         jrecord("done", key=key)
-        emit("done", key, attempt=attempt, wall_s=wall_s)
+        emit("done", key, attempt=attempt, wall_s=wall_s, digest=digest)
 
     try:
         if todo:
@@ -676,11 +622,6 @@ def execute_plan(plan: ExecutionPlan | Sequence[RunConfig], *,
                 verdict["violations"] = list(verdict["violations"]) + violations
                 result.stats.validation_failures += 1
                 emit("invalid", key, error="; ".join(violations))
-                if use_disk and key in result.runs:
-                    payload = counters_to_dict(result.runs[key])
-                    payload["__validation__"] = {
-                        "ok": False, "violations": violations}
-                    store_payload(cache_dir, cfg_by_key[key], payload)
 
         jrecord("sweep_end")
         if tracer is not None:

@@ -2,24 +2,26 @@
 
 Every table and figure of the paper is a projection of the same ~50
 simulated runs (machine x optimization x VECTOR_SIZE).  The heavy
-lifting — parallel fan-out, per-run timeout/retry, the versioned atomic
-disk cache under ``.repro_cache/`` — lives in
+lifting — parallel fan-out, per-run timeout/retry, the content-addressed
+result store under ``.repro_cache/`` — lives in
 :mod:`repro.experiments.executor`; :class:`Session` is the thin façade
 the artifact generators and the CLI talk to:
 
 * ``Session.run(cfg)`` runs (or recalls) one
-  :class:`~repro.experiments.config.RunConfig` — the old keyword form
-  ``run(machine=..., opt=..., vector_size=...)`` remains as a wrapper;
+  :class:`~repro.experiments.config.RunConfig` — the keyword form
+  ``run(machine=..., opt=..., vector_size=...)`` builds one on the fly;
 * ``Session.run_many(configs, jobs=N)`` is the batch entry point the
-  table/figure generators use to pre-warm the cache across a process
+  table/figure generators use to pre-warm the store across a process
   pool before rendering.
 
-Results memoize in memory and persist as JSON on disk, so the full
-benchmark suite re-renders in seconds after the first pass.  Set the
-environment variable ``REPRO_CACHE=0`` to disable the disk cache (the
-in-memory memo always applies); :data:`~repro.experiments.executor.MODEL_VERSION`
-is bumped when the timing model changes so stale caches are ignored.  A
-corrupt cache entry is discarded and re-simulated, never fatal.
+Both go through :func:`~repro.experiments.executor.execute_plan`, so a
+single run and a sweep produce the same counters.  Results memoize in
+memory and persist in the store, so the full benchmark suite re-renders
+in seconds after the first pass.  Set the environment variable
+``REPRO_CACHE=0`` to disable the store (the in-memory memo always
+applies); :data:`~repro.experiments.executor.MODEL_VERSION` is bumped
+when the timing model changes so stale results are ignored.  A corrupt
+store entry is discarded and re-simulated, never fatal.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional
 
-from repro.cfd.assembly import MiniApp
-from repro.cfd.mesh import Mesh, box_mesh
 from repro.experiments.config import FULL_MESH, RunConfig
 from repro.experiments.executor import (
     MODEL_VERSION,
@@ -38,14 +38,8 @@ from repro.experiments.executor import (
     RunEvent,
     SweepError,
     execute_plan,
-    load_cached,
-    simulate_run,
-    store_cached,
 )
-from repro.machine.cpu import Machine
-from repro.machine.machines import get_machine
 from repro.metrics.counters import (
-    COUNTER_FIELDS as _COUNTER_FIELDS,  # noqa: F401  (backwards compat)
     RunCounters,
     counters_from_dict,
     counters_to_dict,
@@ -60,7 +54,7 @@ __all__ = [
 
 
 class Session:
-    """Shared run cache for one mesh configuration."""
+    """Shared run memo for one mesh configuration."""
 
     def __init__(self, mesh_dims: tuple[int, int, int] = FULL_MESH,
                  cache_dir: str | os.PathLike = ".repro_cache",
@@ -91,23 +85,7 @@ class Session:
         self.retries = retries
         self.validate = validate
         self.journal = journal
-        self._mesh: Optional[Mesh] = None
         self._memo: dict[str, RunCounters] = {}
-        self._apps: dict[tuple, MiniApp] = {}
-
-    @property
-    def mesh(self) -> Mesh:
-        if self._mesh is None:
-            self._mesh = box_mesh(*self.mesh_dims)
-        return self._mesh
-
-    def miniapp(self, opt: str, vector_size: int, field_seed: int = 0) -> MiniApp:
-        """Build (and memoize) the compiled mini-app for a configuration."""
-        key = (opt, vector_size, field_seed)
-        if key not in self._apps:
-            self._apps[key] = MiniApp(self.mesh, vector_size, opt,
-                                      field_seed=field_seed)
-        return self._apps[key]
 
     # ------------------------------------------------------------------
 
@@ -116,11 +94,6 @@ class Session:
         execution backend, unless overridden)."""
         kwargs.setdefault("backend", self.backend)
         return RunConfig.from_kwargs(mesh=self.mesh_dims, **kwargs)
-
-    def _disk_path(self, cfg: RunConfig) -> Path:
-        from repro.experiments.executor import cache_path
-
-        return cache_path(self.cache_dir, cfg)
 
     def _log_event(self, ev: RunEvent) -> None:  # pragma: no cover - console
         detail = f" attempt {ev.attempt}" if ev.attempt > 1 else ""
@@ -146,41 +119,7 @@ class Session:
                             mesh_dims=self.mesh_dims,
                             cache_enabled=cache_enabled, field_seed=field_seed,
                             backend=self.backend)
-        key = cfg.key()
-        if key in self._memo:
-            return self._memo[key]
-        if self.use_disk:
-            cached = load_cached(self.cache_dir, cfg)
-            if cached is not None:
-                self._check(cfg, cached)
-                self._memo[key] = cached
-                return cached
-        if self.verbose:  # pragma: no cover - console feedback
-            print(f"[repro] simulating {key} ...", file=sys.stderr, flush=True)
-        if cfg.mesh_dims == self.mesh_dims:
-            app = self.miniapp(cfg.opt, cfg.vector_size, cfg.field_seed)
-            m = Machine(get_machine(cfg.machine),
-                        cache_enabled=cfg.cache_enabled)
-            run = app.run_timed(get_machine(cfg.machine), machine=m)
-        else:
-            run = simulate_run(cfg)
-        self._check(cfg, run)
-        self._memo[key] = run
-        if self.use_disk:
-            store_cached(self.cache_dir, cfg, run)
-        return run
-
-    def _check(self, cfg: RunConfig, run: RunCounters) -> None:
-        """Counter-invariant gate for the single-run path (the batch
-        path validates inside ``execute_plan``)."""
-        if not self.validate:
-            return
-        from repro.validation.invariants import validate_run
-
-        violations = validate_run(cfg, run)
-        if violations:
-            raise SweepError({cfg.key(): "validation failed: "
-                              + "; ".join(violations)})
+        return self.run_many([cfg])[0]
 
     def run_many(self, configs: Iterable[RunConfig] | ExecutionPlan,
                  jobs: Optional[int] = None,
@@ -198,16 +137,11 @@ class Session:
         else:
             configs = list(configs)
         todo = [cfg for cfg in configs if cfg.key() not in self._memo]
-        effective_jobs = self.jobs if jobs is None else max(1, jobs)
-        if todo and effective_jobs <= 1 and not (self.validate or self.journal):
-            # In-process: reuse this session's memoized mesh and apps.
-            for cfg in todo:
-                self.run(cfg)
-        elif todo:
+        if todo:
             result = execute_plan(
                 ExecutionPlan.from_configs(todo),
                 cache_dir=self.cache_dir,
-                jobs=effective_jobs,
+                jobs=self.jobs if jobs is None else max(1, jobs),
                 use_disk=self.use_disk,
                 timeout_s=self.timeout_s if timeout_s is None else timeout_s,
                 retries=self.retries if retries is None else retries,

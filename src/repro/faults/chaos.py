@@ -305,7 +305,8 @@ def run_chaos_campaign(seed: int = 0,
         note("stage bitflip-cache")
         cache = scratch / "bitflip"
         shutil.copytree(base_cache, cache)
-        victim = sorted(cache.glob("*.json"))[seed % len(plan)]
+        objects = sorted(cache.glob("objects/*/*.json"))
+        victim = objects[seed % len(objects)]
         data = bytearray(victim.read_bytes())
         data[len(data) // 2] ^= 0x10  # flip a digit inside some number
         victim.write_bytes(bytes(data))

@@ -296,7 +296,7 @@ class FaultyWorker:
         directory for the strike-once marker files; share it across the
         retries of one sweep, refresh it between sweeps.
     cache_dir:
-        the sweep's cache directory (needed by ``torn_cache``).
+        the sweep's result-store root (needed by ``torn_cache``).
     parent_pid:
         pid of the orchestrating process; the ``kill`` fault refuses to
         ``os._exit`` there and degrades to a crash so a serial sweep is
@@ -324,10 +324,10 @@ class FaultyWorker:
         return claim_strike(self.marker_dir, spec.kind)
 
     def _tear_cache_entry(self, victim_key: str) -> None:
-        """Truncate the victim's cache entry to half its bytes, in place
-        under its *final* name — the torn write the durable cache path
+        """Truncate the victim's store link to half its bytes, in place
+        under its *final* name — the torn write the durable store path
         is designed to make impossible, forced from outside."""
-        for path in Path(self.cache_dir).glob(f"*-{victim_key}.json"):
+        for path in Path(self.cache_dir).glob(f"links/*-{victim_key}.json"):
             data = path.read_bytes()
             path.write_bytes(data[: max(1, len(data) // 2)])
 

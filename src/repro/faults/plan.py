@@ -23,7 +23,7 @@ WORKER_FAULT_KINDS: tuple[str, ...] = (
     "nan_counter",       # payload counter poisoned with NaN
     "negative_counter",  # payload counter sign-flipped
     "flop_drift",        # payload FLOPs silently scaled (ladder-only bug)
-    "torn_cache",        # a .repro_cache entry truncated mid-sweep
+    "torn_cache",        # a result-store link truncated mid-sweep
 )
 
 #: pass-layer fault kinds ("mis-legalized vectorization"): each models a
@@ -77,7 +77,7 @@ class FaultSpec:
         the :meth:`RunConfig.key` the fault strikes on (empty string:
         the first run the worker sees).
     ``victim_key``
-        for ``torn_cache``: the *other* config whose cache entry is
+        for ``torn_cache``: the *other* config whose store link is
         truncated when the fault strikes.
     """
 

@@ -53,6 +53,7 @@ from repro.experiments.config import MeshSpec, resolve_mesh
 from repro.experiments.executor import (
     ExecutionPlan,
     execute_plan,
+    link_name,
     payload_digest,
     simulate_to_dict,
 )
@@ -167,7 +168,7 @@ def append_service_stages(report: ChaosReport, *,
     note(f"stage hung-worker: hang on {spec.target_key}")
     state = scratch / "hung"
     worker = FaultyWorker(fplan, scratch / "hung.markers", kinds=("hang",),
-                          cache_dir=state / "cache", hang_s=2.0)
+                          hang_s=2.0)
     svc = SweepService(str(state), jobs=2, timeout_s=0.5, retries=2,
                        backoff_s=0.01, worker=worker)
     resp = svc.submit(configs, tenant="alice")
@@ -191,20 +192,18 @@ def append_service_stages(report: ChaosReport, *,
             f"{_digests_match(svc, job.job_id, expect) if job else False}"]))
 
     # -- torn shard: truncated store object between two service lives -----
-    victim_key = keys[seed % len(keys)]
+    victim = configs[seed % len(configs)]
+    victim_key = victim.key()
     note(f"stage torn-shard: tearing {victim_key}")
     state = scratch / "torn"
     svc = SweepService(str(state))
     r1 = svc.submit(configs, tenant="alice")
     svc.process_next()
     svc.close()
-    digest = svc.store.digest_for(victim_key) or ""
+    digest = svc.store.digest_for(link_name(victim)) or ""
     obj = svc.store.object_path(digest)
     data = obj.read_bytes()
     obj.write_bytes(data[:max(1, len(data) // 3)])  # the torn write
-    # drop the executor cache so recovery must truly recompute — the
-    # cache and the store are separate retention domains in production.
-    shutil.rmtree(state / "cache", ignore_errors=True)
     svc2 = SweepService(str(state))
     r2 = svc2.submit(configs, tenant="bob")
     svc2.process_next()

@@ -5,8 +5,8 @@ long-running, multi-tenant infrastructure.  One instance owns a *state
 directory*::
 
     state_dir/service.journal   durable job table (jobs.py vocabulary)
-    state_dir/store/            sharded content-addressed result store
-    state_dir/cache/            the executor's versioned run cache
+    state_dir/store/            the content-addressed result store, which
+                                ``execute_plan`` writes into directly
 
 and exposes the queue API the socket front end (:mod:`.server`) and the
 CLI speak: :meth:`submit` / :meth:`poll` / :meth:`stream` /
@@ -39,7 +39,6 @@ Robustness properties, each proven by a chaos stage:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from pathlib import Path
@@ -48,11 +47,13 @@ from typing import Callable, Iterable, Optional
 from repro.experiments.config import RunConfig
 from repro.experiments.executor import (
     RunEvent,
-    cache_path,
     execute_plan,
+    link_name,
     simulate_to_dict,
 )
+from repro.experiments.store import ResultStore
 from repro.obs import chrome
+from repro.obs.metrics import use as _metrics_use
 from repro.obs.tracer import WALL, Tracer
 from repro.obs.tracer import active as _obs_active
 from repro.obs.tracer import use as _obs_use
@@ -68,7 +69,6 @@ from repro.service.jobs import (
     replay_service_journal,
 )
 from repro.service.scheduler import PriorityScheduler
-from repro.service.store import ResultStore
 from repro.service.telemetry import ServiceTelemetry, SLOPolicy
 
 
@@ -80,7 +80,9 @@ def _event_dict(ev: RunEvent) -> dict:
 
 class TracedJobWorker:
     """Picklable worker wrapper opening one ``worker-execute`` span per
-    config on whatever tracer is ambient where the config actually runs.
+    config on whatever tracer is ambient where the config actually runs,
+    and stamping the job's trace id into the payload as ``__trace__``
+    (digest-neutral; the store keeps it in the object).
 
     In-process (``jobs=1``) that is the job's own tracer, installed by
     :meth:`SweepService._process`; in a pool worker it is the fresh
@@ -97,10 +99,12 @@ class TracedJobWorker:
     def __call__(self, cfg: RunConfig) -> dict:
         tracer = _obs_active()
         if tracer is None:
-            return self.worker(cfg)
-        with tracer.span(f"worker-execute {cfg.key()}", cat="worker",
-                         trace=self.trace_id, key=cfg.key()):
-            return self.worker(cfg)
+            payload = self.worker(cfg)
+        else:
+            with tracer.span(f"worker-execute {cfg.key()}", cat="worker",
+                             trace=self.trace_id, key=cfg.key()):
+                payload = self.worker(cfg)
+        return {**payload, "__trace__": self.trace_id}
 
 
 class SweepService:
@@ -132,7 +136,6 @@ class SweepService:
         self.scheduler = scheduler or PriorityScheduler()
         self.telemetry = telemetry or ServiceTelemetry(slo=slo)
         self.clock = clock
-        self.cache_dir = self.state_dir / "cache"
         self.store = ResultStore(self.state_dir / "store",
                                  metrics=self.telemetry.registry)
         self.traces_dir = self.state_dir / "traces"
@@ -360,7 +363,7 @@ class SweepService:
         for key, cfg in cfg_by_key.items():
             if key in job.completed:
                 continue
-            payload = self.store.lookup(key)
+            payload = self.store.lookup(link_name(cfg))
             if payload is not None:
                 self._complete(job, key, payload["__digest__"], "store")
         torn = self.store.stats.corrupt_discarded - before
@@ -376,27 +379,12 @@ class SweepService:
         remaining = [cfg for key, cfg in cfg_by_key.items()
                      if key not in job.completed]
 
-        def store_write(key: str, payload: dict) -> str:
-            """Put + link one payload, on the job's timeline if traced."""
-            if job.tracer is not None:
-                with job.tracer.span(f"store-write {key}", cat="store",
-                                     trace=job.trace_id, key=key):
-                    digest = self.store.put(payload, trace_id=job.trace_id)
-                    self.store.link(key, digest)
-            else:
-                digest = self.store.put(payload)
-                self.store.link(key, digest)
-            return digest
-
         def on_event(ev: RunEvent) -> None:
-            if ev.kind in ("done", "cache_hit"):
-                cfg = cfg_by_key.get(ev.key)
-                payload = self._cache_payload(cfg) if cfg is not None else None
-                if payload is not None:
-                    digest = store_write(ev.key, payload)
-                    self._complete(job, ev.key, digest,
-                                   "computed" if ev.kind == "done" else "cache")
-                    return
+            # execute_plan has already put and linked a ``done`` payload
+            # in this store; the event names its digest.
+            if ev.kind == "done":
+                self._complete(job, ev.key, ev.digest, "computed")
+                return
             with self._lock:
                 job.events.append(_event_dict(ev))
             if tracer is not None:
@@ -408,32 +396,19 @@ class SweepService:
 
         result = None
         if remaining:
-            result = execute_plan(remaining, cache_dir=self.cache_dir,
-                                  jobs=self.jobs_n, timeout_s=self.timeout_s,
-                                  retries=self.retries,
-                                  backoff_s=self.backoff_s,
-                                  validate=self.validate, worker=worker,
-                                  on_event=on_event)
+            # the store's put/link counters join the service's registry.
+            with _metrics_use(self.telemetry.registry):
+                result = execute_plan(remaining, cache_dir=self.store.root,
+                                      jobs=self.jobs_n,
+                                      timeout_s=self.timeout_s,
+                                      retries=self.retries,
+                                      backoff_s=self.backoff_s,
+                                      validate=self.validate, worker=worker,
+                                      on_event=on_event)
 
         with self._lock:
             if result is not None:
                 job.failed.update(result.failed)
-                # anything that simulated but missed the event hook (e.g.
-                # a cache write race) is reconciled from the result map.
-                from repro.metrics.counters import counters_to_dict
-
-                for key, run in result.runs.items():
-                    if key not in job.completed:
-                        payload = counters_to_dict(run)
-                        digest = self.store.put(payload,
-                                                trace_id=job.trace_id)
-                        self.store.link(key, digest)
-                        job.completed[key] = digest
-                        job.sources[key] = "computed"
-                        self._journal.record("config_done", job_id=job.job_id,
-                                             key=key, digest=digest,
-                                             source="computed")
-                        self.telemetry.record_config_done("computed")
             if job.failed:
                 job.status = FAILED
                 job.error = (f"{len(job.failed)} run(s) failed permanently; "
@@ -450,14 +425,6 @@ class SweepService:
                              status=job.status,
                              from_store=job.from_store,
                              recomputed=job.recomputed)
-
-    def _cache_payload(self, cfg: RunConfig) -> Optional[dict]:
-        """The raw executor-cache payload for one config (digest intact)."""
-        try:
-            data = json.loads(cache_path(self.cache_dir, cfg).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return data if isinstance(data, dict) else None
 
     # -- queries -----------------------------------------------------------
 
@@ -512,9 +479,17 @@ class SweepService:
                 "resumed_jobs": self.resumed_jobs,
                 "breaker": self.breaker.health(),
                 "admission": self.admission.health(),
-                "store": self.store.health(),
+                "store": self._store_health(),
                 "slo_breaches": self.telemetry.breach_count(),
             }
+
+    def _store_health(self) -> dict:
+        """Store health; execute_plan writes through its own store view,
+        so its puts reach this service only as registry counters."""
+        reg = self.telemetry.registry
+        return {**self.store.health(),
+                "puts": int(reg.counter_value("store_puts_total")),
+                "dedup_hits": int(reg.counter_value("store_dedup_hits_total"))}
 
     def metrics(self) -> dict:
         """The telemetry plane's wire payload: a deterministic key-sorted

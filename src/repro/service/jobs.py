@@ -62,8 +62,8 @@ class Job:
     #: cfg key -> result digest, completed so far.
     completed: dict = field(default_factory=dict)
     #: cfg key -> provenance: ``computed`` (simulated in this job),
-    #: ``store`` (cross-tenant/job dedup hit), ``cache`` (executor cache
-    #: entry adopted into the store on resume).
+    #: ``store`` (cross-tenant/job dedup hit), ``cache`` (only in
+    #: journals from before the executor wrote into the service store).
     sources: dict = field(default_factory=dict)
     #: cfg key -> error for configs that failed permanently.
     failed: dict = field(default_factory=dict)

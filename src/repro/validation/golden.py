@@ -139,14 +139,9 @@ def _check_kernels(report: GoldenReport, app: MiniApp,
 
 
 def golden_check(opt: "str | Probe" = "vanilla",
-                 vector_size: Optional[int] = None,
-                 mesh_dims: Optional[tuple[int, int, int]] = None,
                  *,
                  probe: Optional[Probe] = None,
                  backend: Optional[str] = None,
-                 field_seed: Optional[int] = None,
-                 rtol: Optional[float] = None,
-                 atol: Optional[float] = None,
                  max_violations: int = 20,
                  corrupt: Optional[CorruptHook] = None,
                  transformed: bool = False,
@@ -156,10 +151,7 @@ def golden_check(opt: "str | Probe" = "vanilla",
     The probe configuration is a :class:`Probe` -- pass one positionally
     (``golden_check(Probe(opt="vec1", backend="interpreter"))``) or as
     ``probe=``; a bare rung string selects the default probe for that
-    rung.  ``backend=`` overrides the probe's execution backend.  The
-    remaining per-field keywords (``vector_size``, ``mesh_dims``,
-    ``field_seed``, ``rtol``, ``atol``) are deprecated shims that warn
-    and fold into a Probe.
+    rung.  ``backend=`` overrides the probe's execution backend.
 
     Runs the IR kernels (through the selected backend) and the NumPy
     reference side by side over every chunk of the probe mesh, comparing
@@ -176,10 +168,7 @@ def golden_check(opt: "str | Probe" = "vanilla",
     the chaos harness uses it to prove tampered pass output is
     *detected*.
     """
-    spec = resolve_probe(opt, probe, backend=backend,
-                         caller="golden_check",
-                         vector_size=vector_size, mesh_dims=mesh_dims,
-                         field_seed=field_seed, rtol=rtol, atol=atol)
+    spec = resolve_probe(opt, probe, backend=backend)
     report = GoldenReport(opt=spec.opt, vector_size=spec.vector_size,
                           mesh_dims=spec.mesh_dims, rtol=spec.rtol,
                           atol=spec.atol, backend=spec.backend)
@@ -260,8 +249,7 @@ def solver_golden_check(opt: "str | Probe" = "vanilla",
         seeded_solver_inputs,
     )
 
-    spec = resolve_probe(opt, probe, backend=backend,
-                         caller="solver_golden_check")
+    spec = resolve_probe(opt, probe, backend=backend)
     report = GoldenReport(opt=spec.opt, vector_size=spec.vector_size,
                           mesh_dims=spec.mesh_dims, rtol=spec.rtol,
                           atol=spec.atol, backend=spec.backend)

@@ -11,15 +11,10 @@ Being frozen and hashable, a ``Probe`` doubles as the memoization key of
 the honest digest cache, and ``replace(probe, ...)`` gives cheap
 variants (the chaos campaign swaps ``opt`` per rung, the equivalence
 gate swaps ``backend``).
-
-The old keyword spellings survive as deprecation shims:
-``golden_check("vec1", vector_size=16)`` still works but warns; the
-supported form is ``golden_check(Probe(opt="vec1", vector_size=16))``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -67,34 +62,18 @@ class Probe:
 
 
 def resolve_probe(opt_or_probe: "str | Probe", probe: Optional[Probe],
-                  *, backend: Optional[str] = None, caller: str = "",
-                  **legacy) -> Probe:
-    """Normalize the ``(opt | Probe, probe=, legacy kwargs)`` calling
-    conventions of the validation entry points to one :class:`Probe`.
-
-    A non-``None`` legacy keyword (``vector_size``, ``mesh_dims``,
-    ``field_seed``, ``rtol``, ``atol``) emits a ``DeprecationWarning``
-    and is folded into the probe; mixing them with an explicit ``Probe``
-    is a ``TypeError``.  ``backend=`` is first-class (not deprecated)
-    and overrides the probe's.
+                  *, backend: Optional[str] = None) -> Probe:
+    """Normalize the ``(opt | Probe, probe=)`` calling conventions of the
+    validation entry points to one :class:`Probe`: a bare rung string
+    selects the default probe for that rung, and passing a probe both
+    positionally and as ``probe=`` is a ``TypeError``.  ``backend=``
+    overrides the probe's.
     """
     if isinstance(opt_or_probe, Probe):
         if probe is not None:
             raise TypeError("pass the Probe positionally or as probe=, "
                             "not both")
         probe = opt_or_probe
-    used = {k: v for k, v in legacy.items() if v is not None}
-    if probe is not None:
-        if used:
-            raise TypeError(
-                f"cannot combine probe= with the deprecated keyword(s) "
-                f"{sorted(used)}; set them on the Probe instead")
-        return replace(probe, backend=backend) if backend else probe
-    if used:
-        warnings.warn(
-            f"the {sorted(used)} keyword(s) of {caller or 'this function'} "
-            f"are deprecated; pass a Probe(...) instead",
-            DeprecationWarning, stacklevel=3)
-    if backend is not None:
-        used["backend"] = backend
-    return Probe(opt=opt_or_probe, **used)
+    elif probe is None:
+        probe = Probe(opt=opt_or_probe)
+    return replace(probe, backend=backend) if backend else probe

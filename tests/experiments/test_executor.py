@@ -9,13 +9,15 @@ from repro.experiments.config import FULL_MESH, QUICK_MESH, RunConfig
 from repro.experiments.executor import (
     ExecutionPlan,
     SweepError,
-    cache_path,
     execute_plan,
-    load_cached,
+    link_name,
+    load_cached_entry,
     simulate_to_dict,
-    store_cached,
+    store_payload,
 )
 from repro.experiments.runner import Session
+from repro.experiments.store import ResultStore
+from repro.metrics.counters import counters_to_dict
 
 TINY = (4, 4, 4)
 
@@ -74,12 +76,13 @@ def test_parallel_results_byte_identical_to_serial(tmp_path):
     assert not serial.failed and not parallel.failed
     assert serial.stats.simulated == parallel.stats.simulated == 3
 
-    serial_files = sorted(p.name for p in (tmp_path / "serial").iterdir())
-    parallel_files = sorted(p.name for p in (tmp_path / "parallel").iterdir())
-    assert serial_files == parallel_files
-    for name in serial_files:
-        assert (tmp_path / "serial" / name).read_bytes() == \
-            (tmp_path / "parallel" / name).read_bytes()
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*.json")}
+
+    serial_files = files(tmp_path / "serial")
+    assert len(serial_files) == 6  # one object + one link per config
+    assert serial_files == files(tmp_path / "parallel")
 
     for cfg in plan:
         assert parallel.counters_for(cfg).total_cycles == pytest.approx(
@@ -125,7 +128,7 @@ def test_events_carry_queue_depth_and_cache_tallies(tmp_path):
 def test_corrupted_cache_entry_discarded_and_resimulated(tmp_path):
     [cfg] = tiny_configs(1)
     execute_plan([cfg], cache_dir=tmp_path, jobs=1)
-    path = cache_path(tmp_path, cfg)
+    path = ResultStore(tmp_path).link_path(link_name(cfg))
     path.write_text('{"1": {"cycles_tot')  # truncated write
 
     result = execute_plan([cfg], cache_dir=tmp_path, jobs=1)
@@ -135,26 +138,31 @@ def test_corrupted_cache_entry_discarded_and_resimulated(tmp_path):
 
 def test_load_cached_rejects_wrong_schema(tmp_path):
     [cfg] = tiny_configs(1)
-    path = cache_path(tmp_path, cfg)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    store = ResultStore(tmp_path)
+    path = store.link_path(link_name(cfg))
+
+    # a digest-intact object with missing counter fields
+    store.link(link_name(cfg), store.put({"1": {"cycles_total": 1.0}}))
+    counters, reason = load_cached_entry(tmp_path, cfg)
+    assert counters is None and "unusable" in reason
 
     path.write_text('["not", "an", "object"]')
-    assert load_cached(tmp_path, cfg) is None
-    assert not path.exists()  # bad entry deleted
-
-    path.write_text('{"1": {"cycles_total": 1.0}}')  # missing fields
-    assert load_cached(tmp_path, cfg) is None
-    assert not path.exists()
+    counters, reason = load_cached_entry(tmp_path, cfg)
+    assert counters is None and "corrupt" in reason
+    assert not path.exists()  # bad link deleted
 
 
 def test_store_cached_roundtrip_and_no_tmp_litter(tmp_path):
     [cfg] = tiny_configs(1)
     run = execute_plan([cfg], cache_dir=tmp_path / "a", jobs=1).counters_for(cfg)
-    store_cached(tmp_path / "b", cfg, run)
-    back = load_cached(tmp_path / "b", cfg)
+    obj = store_payload(tmp_path / "b", cfg, counters_to_dict(run))
+    back, _ = load_cached_entry(tmp_path / "b", cfg)
     assert back.total_cycles == pytest.approx(run.total_cycles)
-    assert [p.name for p in (tmp_path / "b").iterdir()] == \
-        [cache_path(tmp_path / "b", cfg).name]  # no .tmp files left behind
+    digest = obj.stem
+    files = sorted(p.relative_to(tmp_path / "b").as_posix()
+                   for p in (tmp_path / "b").rglob("*") if p.is_file())
+    assert files == [f"links/{link_name(cfg)}.json",
+                     f"objects/{digest[:2]}/{digest}.json"]  # no .tmp files
 
 
 # -- fault tolerance ---------------------------------------------------------
@@ -235,12 +243,6 @@ def test_session_run_many_returns_input_order(tmp_path):
     assert s.run_many(cfgs)[0] is s.run(cfgs[0])
 
 
-def test_session_run_many_serial_reuses_session_mesh(tmp_path):
-    s = Session(mesh_dims=TINY, cache_dir=tmp_path)
-    s.run_many(tiny_configs(2), jobs=1)
-    assert ("vanilla", 16, 0) in s._apps  # went through the in-process path
-
-
 def test_session_run_many_raises_on_permanent_failure(tmp_path, monkeypatch):
     import repro.experiments.runner as runner_mod
 
@@ -263,13 +265,13 @@ def test_session_run_many_raises_on_permanent_failure(tmp_path, monkeypatch):
 def test_session_recovers_from_corrupt_cache(tmp_path):
     s1 = Session(mesh_dims=TINY, cache_dir=tmp_path)
     r1 = s1.run(opt="vanilla", vector_size=16)
-    cache_file = next(tmp_path.glob("*.json"))
+    cache_file = next(tmp_path.glob("objects/*/*.json"))
     cache_file.write_text("not json at all")
 
     s2 = Session(mesh_dims=TINY, cache_dir=tmp_path)
     r2 = s2.run(opt="vanilla", vector_size=16)
     assert r2.total_cycles == pytest.approx(r1.total_cycles)
-    assert json.loads(next(tmp_path.glob("*.json")).read_text())
+    assert json.loads(next(tmp_path.glob("objects/*/*.json")).read_text())
 
 
 # -- config-first API --------------------------------------------------------

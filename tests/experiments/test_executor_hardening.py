@@ -1,4 +1,4 @@
-"""Executor hardening: guarded callbacks, durable cache writes, content
+"""Executor hardening: guarded callbacks, durable store writes, content
 digests, deterministic backoff, and attempt-preserving pool fallback."""
 
 import json
@@ -10,15 +10,16 @@ from repro.experiments.config import TINY_MESH, RunConfig
 from repro.experiments.executor import (
     ExecutionPlan,
     backoff_delay,
-    cache_path,
     execute_plan,
-    load_cached,
+    link_name,
+    load_cached_entry,
     payload_digest,
     simulate_run,
     simulate_to_dict,
-    store_cached,
     store_payload,
 )
+from repro.experiments.store import ResultStore
+from repro.metrics.counters import counters_to_dict
 
 CFG = RunConfig(opt="vanilla", vector_size=16, mesh_dims=TINY_MESH)
 
@@ -43,27 +44,28 @@ def test_crashing_callback_does_not_sink_the_sweep(tmp_path, capsys):
     assert "observer bug" in err
 
 
-# -- durable cache writes and content digests ------------------------------
+# -- durable store writes and content digests ------------------------------
 
 
 def test_store_leaves_no_tmp_residue(tmp_path):
-    store_cached(tmp_path, CFG, simulate_run(CFG))
-    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+    store_payload(tmp_path, CFG, simulate_to_dict(CFG))
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert sorted(p.suffix for p in files) == [".json", ".json"]
 
 
 def test_truncated_entry_is_discarded(tmp_path):
-    store_cached(tmp_path, CFG, simulate_run(CFG))
-    path = cache_path(tmp_path, CFG)
+    path = store_payload(tmp_path, CFG, simulate_to_dict(CFG))
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])  # the torn write
-    assert load_cached(tmp_path, CFG) is None
+    counters, reason = load_cached_entry(tmp_path, CFG)
+    assert counters is None and "discarded corrupt" in reason
     assert not path.exists()  # quarantined, will be re-simulated
 
 
 def test_corrupt_entry_emits_cache_corrupt_event_and_is_counted(tmp_path):
     res = execute_plan([CFG], cache_dir=tmp_path)
     assert res.stats.cache_corrupt == 0
-    path = cache_path(tmp_path, CFG)
+    path = next(tmp_path.glob("objects/*/*.json"))
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])  # the torn write
     events = []
@@ -83,19 +85,22 @@ def test_corrupt_entry_emits_cache_corrupt_event_and_is_counted(tmp_path):
 
 
 def test_bitrot_with_valid_json_is_caught_by_digest(tmp_path):
-    store_cached(tmp_path, CFG, simulate_run(CFG))
-    path = cache_path(tmp_path, CFG)
+    path = store_payload(tmp_path, CFG, simulate_to_dict(CFG))
     payload = json.loads(path.read_text())
     payload["1"]["cycles_total"] += 1.0  # parseable, plausible, wrong
     path.write_text(json.dumps(payload, sort_keys=True))
-    assert load_cached(tmp_path, CFG) is None
+    assert load_cached_entry(tmp_path, CFG)[0] is None
 
 
 def test_entry_without_digest_is_rejected(tmp_path):
-    path = cache_path(tmp_path, CFG)
+    store = ResultStore(tmp_path)
+    payload = simulate_to_dict(CFG)
+    digest = payload_digest(payload)
+    path = store.object_path(digest)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(simulate_to_dict(CFG), sort_keys=True))
-    assert load_cached(tmp_path, CFG) is None
+    path.write_text(json.dumps(payload, sort_keys=True))  # no stamp
+    store.link(link_name(CFG), digest)
+    assert load_cached_entry(tmp_path, CFG)[0] is None
 
 
 def test_digest_ignores_reserved_metadata_keys():
@@ -106,10 +111,10 @@ def test_digest_ignores_reserved_metadata_keys():
 
 def test_store_load_roundtrip(tmp_path):
     run = simulate_run(CFG)
-    store_cached(tmp_path, CFG, run)
-    from repro.metrics.counters import counters_to_dict
-
-    assert counters_to_dict(load_cached(tmp_path, CFG)) == counters_to_dict(run)
+    store_payload(tmp_path, CFG, counters_to_dict(run))
+    back, reason = load_cached_entry(tmp_path, CFG)
+    assert reason == ""
+    assert counters_to_dict(back) == counters_to_dict(run)
 
 
 # -- deterministic backoff --------------------------------------------------

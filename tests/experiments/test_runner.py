@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.config import RunConfig
+from repro.experiments.executor import execute_plan
 from repro.experiments.runner import (
     Session,
     counters_from_dict,
@@ -51,7 +52,7 @@ def test_memoization_returns_same_object():
 def test_disk_cache_roundtrip(tmp_path):
     s1 = Session(mesh_dims=TINY, cache_dir=tmp_path, use_disk=True)
     r1 = s1.run(opt="vanilla", vector_size=16)
-    assert list(tmp_path.glob("*.json"))
+    assert list(tmp_path.glob("links/*.json"))
     s2 = Session(mesh_dims=TINY, cache_dir=tmp_path, use_disk=True)
     r2 = s2.run(opt="vanilla", vector_size=16)
     assert r2.total_cycles == pytest.approx(r1.total_cycles)
@@ -73,14 +74,22 @@ def test_scalar_baseline_is_scalar_vs16():
     assert all(pc.i_v == 0 for pc in base.phases.values())
 
 
-def test_miniapp_memoized():
-    s = Session(mesh_dims=TINY, use_disk=False)
-    assert s.miniapp("vanilla", 16) is s.miniapp("vanilla", 16)
-    assert s.miniapp("vanilla", 16) is not s.miniapp("vec1", 16)
-
-
 def test_phase_cycles_helper():
     s = Session(mesh_dims=TINY, use_disk=False)
     run = s.run(opt="vanilla", vector_size=16)
     assert s.phase_cycles(6, opt="vanilla", vector_size=16) == pytest.approx(
         run.phases[6].cycles_total)
+
+
+@pytest.mark.parametrize("extra", [{"solve": True},
+                                   {"passes": ("const-trip-count",)}],
+                         ids=["solve", "passes"])
+def test_session_run_equals_execute_plan(extra):
+    # one run path: a single Session.run is the sweep's run, including
+    # the assemble+solve phases and an explicit pass schedule.
+    cfg = RunConfig(opt="vanilla", vector_size=16, mesh_dims=TINY, **extra)
+    run = Session(mesh_dims=TINY, use_disk=False).run(cfg)
+    swept = execute_plan([cfg], use_disk=False).counters_for(cfg)
+    assert counters_to_dict(run) == counters_to_dict(swept)
+    if cfg.solve:
+        assert {9, 10, 11, 12} <= set(run.phase_ids())

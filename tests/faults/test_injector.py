@@ -115,20 +115,26 @@ def test_kill_degrades_to_crash_in_parent_process(tmp_path):
 
 
 def test_torn_cache_truncates_victim_entry(tmp_path):
-    from repro.experiments.executor import cache_path, load_cached, \
-        simulate_run, store_cached
+    from repro.experiments.executor import (
+        link_name,
+        load_cached_entry,
+        simulate_to_dict,
+        store_payload,
+    )
+    from repro.experiments.store import ResultStore
 
     cache_dir = tmp_path / "cache"
-    store_cached(cache_dir, CFG_B, simulate_run(CFG_B))
-    intact = cache_path(cache_dir, CFG_B).read_bytes()
+    store_payload(cache_dir, CFG_B, simulate_to_dict(CFG_B))
+    link = ResultStore(cache_dir).link_path(link_name(CFG_B))
+    intact = link.read_bytes()
     worker = FaultyWorker(_plan("torn_cache", CFG_A, victim=CFG_B.key()),
                           tmp_path / "m", cache_dir=cache_dir)
     worker(CFG_A)
-    torn = cache_path(cache_dir, CFG_B).read_bytes()
+    torn = link.read_bytes()
     assert len(torn) < len(intact)
-    # the durable-cache contract turns the torn entry into a re-simulation.
-    assert load_cached(cache_dir, CFG_B) is None
-    assert not cache_path(cache_dir, CFG_B).exists()
+    # the durable-store contract turns the torn entry into a re-simulation.
+    assert load_cached_entry(cache_dir, CFG_B)[0] is None
+    assert not link.exists()
 
 
 # -- InterruptingWorker -----------------------------------------------------

@@ -43,6 +43,53 @@ def test_cross_tenant_dedup_through_the_store(tmp_path):
     svc.close()
 
 
+def test_service_writes_each_computed_config_once(tmp_path, monkeypatch):
+    from repro.experiments.store import ResultStore
+
+    calls = []
+    for name in ("put", "link", "get", "lookup", "digest_for"):
+        orig = getattr(ResultStore, name)
+
+        def spy(self, *args, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(ResultStore, name, spy)
+    svc = SweepService(str(tmp_path / "svc"))
+    svc.submit(CONFIGS, tenant="alice")
+    svc.process_next()
+    store = svc.health()["store"]
+    svc.close()
+    n = len(CONFIGS)
+    assert calls.count("put") == calls.count("link") == n
+    assert store["puts"] + store["dedup_hits"] == n
+    assert store["puts"] == store["objects"]
+    # the service's dedup pass and the executor's read before each
+    # simulation are the only reads: both miss, and nothing written is
+    # read back.
+    assert calls.count("lookup") == calls.count("digest_for") == 2 * n
+    assert calls.count("get") == 0
+    # no second result cache next to the store
+    assert sorted(p.name for p in (tmp_path / "svc").iterdir()) == [
+        "service.journal", "store"]
+
+
+def test_model_version_bump_orphans_service_results(tmp_path, monkeypatch):
+    import repro.experiments.executor as ex
+
+    svc = SweepService(str(tmp_path / "svc"))
+    svc.submit(CONFIGS[:1], tenant="alice")
+    svc.process_next()
+    monkeypatch.setattr(ex, "MODEL_VERSION", "next")
+    resp = svc.submit(CONFIGS[:1], tenant="bob")
+    svc.process_next()
+    view = svc.poll(resp["job_id"])["job"]
+    svc.close()
+    # a new model never serves the old model's counters
+    assert view["recomputed"] == 1 and view["from_store"] == 0
+    assert svc.store.link_count() == 2
+
+
 def test_fetch_serves_digest_verified_payloads(tmp_path):
     svc = SweepService(str(tmp_path / "svc"))
     resp = svc.submit(CONFIGS[:2], tenant="alice")

@@ -2,8 +2,7 @@
 
 import json
 
-from repro.experiments.executor import payload_digest
-from repro.service.store import SHARD_WIDTH, ResultStore
+from repro.experiments.store import SHARD_WIDTH, ResultStore, payload_digest
 
 PAYLOAD = {"1": {"cycles_total": 100.0, "fp_ops_vector": 5.0},
            "2": {"cycles_total": 40.0, "fp_ops_vector": 1.0}}

@@ -186,6 +186,7 @@ def test_service_metrics_verb_and_trace_export(tmp_path):
     """End-to-end through SweepService: metrics verb, SLO plane, trace
     propagation into the store payload and the exported timeline."""
     from repro.experiments.config import RunConfig
+    from repro.experiments.executor import link_name
     from repro.service.core import SweepService
 
     svc = SweepService(str(tmp_path / "state"))
@@ -201,7 +202,7 @@ def test_service_metrics_verb_and_trace_export(tmp_path):
     assert out["slo"]["alice"]["ok"]
     assert out["slo_policy"] == SLOPolicy().to_dict()
     # the trace id reached the store payload (digest-neutral __ key)...
-    digest = svc.store.digest_for(cfg.key())
+    digest = svc.store.digest_for(link_name(cfg))
     body = json.loads(svc.store.object_path(digest).read_text())
     assert body["__trace__"] == "feedbeef12345678"
     # ...and the exported timeline has the whole story under one id.

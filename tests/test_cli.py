@@ -284,7 +284,9 @@ def test_cli_survives_corrupted_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _ = run_cli(capsys, "table", "3", "--mesh", "quick")
     assert code == 0
-    for f in (tmp_path / ".repro_cache").glob("*.json"):
+    torn = list((tmp_path / ".repro_cache").rglob("*.json"))
+    assert torn
+    for f in torn:
         f.write_text('{"truncated')
     code, out = run_cli(capsys, "table", "3", "--mesh", "quick")
     assert code == 0

@@ -8,6 +8,12 @@ subsequent ones re-render in seconds.
 
 Set ``REPRO_MESH=quick`` to run the suite on the 960-element mesh
 instead (faster, same qualitative shapes except where noted).
+
+Noted exception: ``test_table6`` fails on the quick mesh.  Its phase-1
+R^2 measures 0.742 there, under the 0.75 bound; the full mesh gives
+0.760 (paper 0.903).  The bound is the paper-shape contract and stays
+as it is; the weak phase-1 fit is an open modelling item, not a
+quick-mesh tolerance.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ from repro.experiments import report, tables
 def test_table6(benchmark, session):
     t = benchmark(tables.table6, session)
     assert set(t.results) == {1, 8}
-    # the memory model explains most of the variance
+    # the memory model explains most of the variance.  Phase 1 is the
+    # weak fit: R^2 0.760 on the full mesh, 0.742 on the quick mesh,
+    # where this assertion fails (see conftest.py).
     assert t.results[1].r_squared > 0.75
     assert t.results[8].r_squared > 0.75
     assert t.results[1].r_squared <= 1.0

@@ -15,7 +15,8 @@ from pathlib import Path
 from repro import MiniApp, box_mesh
 from repro.experiments import report
 from repro.machine import Machine, RISCV_VEC
-from repro.trace import Tracer, paraver, phase_stats, timeline
+from repro.obs import Tracer, paraver, phase_stats
+from repro.obs.render import timeline
 
 
 def main() -> None:

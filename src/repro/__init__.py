@@ -21,8 +21,6 @@ The package simulates the paper's entire stack in Python:
   SLO verdicts over the sweep service (``repro top``, the ``metrics``
   wire verb), and cross-process trace correlation
   (``repro submit --trace`` / ``repro trace --job``);
-* :mod:`repro.trace` -- Extrae/Vehave/Paraver-style trace files and
-  analysis (the exporter side of :mod:`repro.obs`);
 * :mod:`repro.experiments` -- the harness regenerating every table and
   figure of the evaluation;
 * :mod:`repro.backends` -- pluggable kernel execution: the

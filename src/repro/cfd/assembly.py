@@ -38,12 +38,13 @@ from repro.cfd.csr import CSRPattern, build_pattern
 from repro.cfd.fields import make_global_fields
 from repro.cfd.kernel_context import MiniAppContext
 from repro.cfd.mesh import Mesh
-from repro.cfd.phases import KernelConfig, build_baseline_kernels
+from repro.cfd.phases import build_baseline_kernels
 from repro.cfd.reference import run_reference_chunk
 from repro.compiler.flags import PAPER_FLAGS, SCALAR_FLAGS, CompilerFlags
 from repro.compiler.interpreter import Interpreter
 from repro.compiler.program import CompiledKernel, compile_kernels
 from repro.compiler.transforms import (
+    OPT_PASSES,
     PassPipeline,
     TransformRemark,
     opt_for_passes,
@@ -54,22 +55,6 @@ from repro.compiler.vectorizer import VecRemark
 from repro.machine.cpu import Machine
 from repro.machine.params import MachineParams
 from repro.metrics.counters import RunCounters
-
-#: optimization levels in cumulative paper order.
-OPT_LEVELS = ("scalar", "vanilla", "vec2", "ivec2", "vec1")
-
-
-def kernel_config_for(opt: str, vector_size: int) -> KernelConfig:
-    """Map an optimization level to the code-transformation switches."""
-    if opt not in OPT_LEVELS:
-        raise ValueError(f"unknown optimization level {opt!r}; known: {OPT_LEVELS}")
-    return KernelConfig(
-        vector_size=vector_size,
-        phase2_const_bound=opt in ("vec2", "ivec2", "vec1"),
-        phase2_interchanged=opt in ("ivec2", "vec1"),
-        phase1_fissioned=opt == "vec1",
-    )
-
 
 @dataclass
 class AssembledSystem:
@@ -96,10 +81,12 @@ class MiniApp:
             # flag selection and display), not prescribed.
             self.pipeline = pipeline_from_names(passes, name="custom")
             opt = opt_for_passes(passes) or opt
+            if opt not in OPT_PASSES:
+                raise ValueError(f"unknown optimization level {opt!r}; "
+                                 f"known: {tuple(OPT_PASSES)}")
         else:
             self.pipeline = pipeline_for_opt(opt)
         self.opt = opt
-        self.config = kernel_config_for(opt, vector_size)
         if flags is None:
             flags = SCALAR_FLAGS if opt == "scalar" else PAPER_FLAGS
         self.flags = flags

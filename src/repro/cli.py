@@ -858,8 +858,7 @@ def _cmd_trace_job(args) -> int:
 def _cmd_trace(args) -> int:
     from repro import obs
     from repro.machine.machines import get_machine
-    from repro.obs import chrome, render
-    from repro.trace import paraver, phase_stats
+    from repro.obs import chrome, paraver, phase_stats, render
 
     if args.job:
         return _cmd_trace_job(args)

@@ -5,13 +5,12 @@ list of :class:`~repro.compiler.transforms.base.Pass` instances whose
 inter-pass dependencies (``Pass.requires``) are validated at
 construction time -- scheduling ``loop-interchange`` without
 ``const-trip-count`` raises a :class:`PipelineError` naming the missing
-pass, which is the pipeline-level home of the old
-``KernelConfig.__post_init__`` "IVEC2 requires VEC2" coupling.
+pass (the paper's "IVEC2 requires VEC2" coupling).
 
 :data:`OPT_PASSES` maps the paper's cumulative optimization rungs to
-pass lists; :func:`pipeline_for_opt` / :func:`pipeline_from_names` build
-pipelines from a rung or an explicit spelling (the ``RunConfig.passes``
-experiment knob).
+pass lists; it is the only rung table.  :func:`pipeline_for_opt` /
+:func:`pipeline_from_names` build pipelines from a rung or an explicit
+spelling (the ``RunConfig.passes`` experiment knob).
 
 Each pass application is stamped as a wall-clock span (category
 ``"pass"``) on the ambient observability tracer, with the resulting

@@ -6,10 +6,14 @@ This package is that toolchain for the simulated stack, one tracer
 threaded through every layer:
 
 * :mod:`repro.obs.tracer` -- the contextvar-scoped span/event/counter
-  :class:`Tracer` (wall + sim clocks, zero-cost when disabled) that
-  absorbed the seed ``repro.trace`` tracer;
+  :class:`Tracer` (wall + sim clocks, zero-cost when disabled), the
+  machine's block / vector-instruction records, and :func:`phase_stats`,
+  the trace-derived per-phase metrics cross-checked against the
+  hardware counters;
 * :mod:`repro.obs.chrome` -- Chrome ``trace_event`` export for
   ``chrome://tracing`` flamegraphs;
+* :mod:`repro.obs.paraver` -- Paraver ``.prv`` / ``.pcf`` / ``.row``
+  export and re-import;
 * :mod:`repro.obs.render` -- terminal timeline and vl-histogram views;
 * :mod:`repro.obs.workers` -- per-worker trace files merged across the
   executor's process pool;
@@ -19,9 +23,6 @@ threaded through every layer:
   of counters/gauges/histograms with its own ambient slot
   (``metrics.use`` / ``metrics.active``), published into by the sweep
   service and executor (see :mod:`repro.service.telemetry`).
-
-The Paraver exporter and trace analysis stay in :mod:`repro.trace`
-(they operate on the same tracer).
 
 Typical use::
 
@@ -33,31 +34,38 @@ Typical use::
     obs.chrome.dump(tracer, "t.json")       # open in chrome://tracing
 """
 
-from repro.obs import chrome, gate, metrics, render, workers
+from repro.obs import chrome, gate, metrics, paraver, render, workers
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import (
     NULL_TRACER,
+    BlockEvent,
     CounterSample,
     InstrEvent,
+    PhaseTraceStats,
     PointEvent,
     SpanRecord,
     Tracer,
+    VectorInstrEvent,
     active,
     counter,
     current,
     event,
+    phase_stats,
     span,
     use,
 )
 
 __all__ = [
+    "BlockEvent",
     "CounterSample",
     "InstrEvent",
     "MetricsRegistry",
     "NULL_TRACER",
+    "PhaseTraceStats",
     "PointEvent",
     "SpanRecord",
     "Tracer",
+    "VectorInstrEvent",
     "active",
     "chrome",
     "counter",
@@ -65,6 +73,8 @@ __all__ = [
     "event",
     "gate",
     "metrics",
+    "paraver",
+    "phase_stats",
     "render",
     "span",
     "use",

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.trace.events import BlockEvent, VectorInstrEvent
-from repro.trace.tracer import Tracer
+from repro.obs.tracer import BlockEvent, Tracer, VectorInstrEvent
 
 HEADER_PREFIX = "#Paraver (repro)"
 STATE_RECORD = "1"

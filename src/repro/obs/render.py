@@ -1,22 +1,45 @@
 """Terminal rendering of traces: phase timeline and vl histograms.
 
 A text-mode substitute for the Paraver gradient views the paper reads:
-``render_timeline`` shows which phase dominates each slice of the run,
-``render_vl_hist`` shows the AVL distribution -- the artifact that makes
+:func:`timeline` finds which phase dominates each slice of the run,
+``render_timeline`` draws that as one strip, ``render_vl_hist`` shows the AVL distribution -- the artifact that makes
 the Vitruvius mod-40 FSM effect visible straight from a sweep.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Mapping, Optional
 
 from repro.obs.tracer import Tracer
-from repro.trace.analysis import timeline
 
 #: glyph per phase id for the timeline strip.
 # assembly phases 1-8 render as digits; solver phases 9-12
 # (spmv, dot, axpy, precond) as s/d/a/p.
 _PHASE_GLYPHS = "·12345678sdap"
+
+
+def timeline(tracer: Tracer, buckets: int = 40) -> list[tuple[float, int]]:
+    """Coarse phase timeline: dominant phase per time bucket.
+
+    A text-mode substitute for a Paraver phase-gradient view; returns
+    (bucket start time, dominant phase) pairs.
+    """
+    total = tracer.total_cycles()
+    if total <= 0 or not tracer.blocks:
+        return []
+    width = total / buckets
+    out = []
+    for i in range(buckets):
+        lo, hi = i * width, (i + 1) * width
+        weights: Counter = Counter()
+        for b in tracer.blocks:
+            overlap = min(hi, b.t_end) - max(lo, b.t_start)
+            if overlap > 0:
+                weights[b.phase] += overlap
+        if weights:
+            out.append((lo, weights.most_common(1)[0][0]))
+    return out
 
 
 def render_timeline(tracer: Tracer, buckets: int = 64) -> str:

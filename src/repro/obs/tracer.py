@@ -13,10 +13,12 @@ One :class:`Tracer` threads through every layer of the stack:
 * **instruction events** -- the Vehave-grade per-instruction stream from
   :class:`~repro.isa.emulator.VectorEmulator`: opcode, granted vector
   length, and lane occupancy;
-* the **legacy hook interface** of the seed ``repro.trace`` module
-  (``on_block`` / ``on_vector_instrs``), so the tracer plugs unchanged
-  into :class:`~repro.machine.cpu.Machine` and feeds the Paraver
-  exporter and the trace-analysis cross-checks.
+* **block events** and **vector-instruction batches** -- the machine
+  hooks ``on_block`` / ``on_vector_instrs`` that
+  :class:`~repro.machine.cpu.Machine` calls per executed block; they
+  feed the Paraver exporter (:mod:`repro.obs.paraver`) and
+  :func:`phase_stats`, the trace-side path to the paper's §2.2 metrics
+  that the test suite cross-checks against the hardware counters.
 
 Scoping is contextvar-based: :func:`use` installs a tracer for the
 current context (and its threads' children via copy_context), and every
@@ -30,13 +32,14 @@ permanently ("zero-cost when disabled").
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import Any, Iterator, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.trace.events import BlockEvent, VectorInstrEvent
+from repro.isa.hierarchy import HierarchyCounts
+from repro.isa.instructions import OPCODES
 
 #: clock domains a record can live in.
 WALL = "wall"
@@ -95,6 +98,35 @@ class InstrEvent:
         return self.vl / self.vl_max if self.vl_max else 0.0
 
 
+@dataclass(frozen=True)
+class BlockEvent:
+    """One executed block (timed region) of a compiled phase kernel --
+    what Extrae-style instrumentation sees."""
+
+    phase: int
+    label: str
+    kind: str          # 'scalar' | 'vector'
+    t_start: float     # cycle timestamp at block entry
+    cycles: float
+
+    @property
+    def t_end(self) -> float:
+        return self.t_start + self.cycles
+
+
+@dataclass(frozen=True)
+class VectorInstrEvent:
+    """A batch of identical dynamic vector instructions (the Vehave
+    record, batched by repeat count: homogeneous repeats carry no extra
+    information)."""
+
+    phase: int
+    opcode: str
+    vl: int
+    count: int
+    t: float           # cycle timestamp of the issuing block
+
+
 def _freeze_args(kwargs: dict[str, Any]) -> tuple:
     return tuple(sorted(kwargs.items()))
 
@@ -140,16 +172,12 @@ NOOP_SPAN = _NoopSpan()
 
 @dataclass
 class Tracer:
-    """Collects spans, events, counters and instruction streams.
+    """Collects spans, events, counters and instruction streams, plus
+    the machine's per-block events (``blocks`` / ``vector_instrs``, fed
+    by the ``on_block`` / ``on_vector_instrs`` hooks)."""
 
-    Also implements the seed ``repro.trace.Tracer`` interface (``blocks``
-    / ``vector_instrs`` lists and the ``on_block`` / ``on_vector_instrs``
-    machine hooks), which it absorbed in the observability refactor; the
-    Paraver exporter and trace analysis consume those fields unchanged.
-    """
-
-    blocks: list["BlockEvent"] = field(default_factory=list)
-    vector_instrs: list["VectorInstrEvent"] = field(default_factory=list)
+    blocks: list[BlockEvent] = field(default_factory=list)
+    vector_instrs: list[VectorInstrEvent] = field(default_factory=list)
     enabled: bool = True
     spans: list[SpanRecord] = field(default_factory=list)
     points: list[PointEvent] = field(default_factory=list)
@@ -216,15 +244,11 @@ class Tracer:
             return
         self.raw_events.extend(events)
 
-    # -- machine hook interface (seed trace.Tracer API) ----------------------
+    # -- machine hooks -------------------------------------------------------
 
     def on_block(self, phase: int, label: str, kind: str,
                  t_start: float, cycles: float) -> None:
         if self.enabled:
-            # deferred import: repro.trace re-exports this class, so a
-            # top-level import would be circular.
-            from repro.trace.events import BlockEvent
-
             self.blocks.append(BlockEvent(phase, label, kind, t_start, cycles))
 
     def on_vector_instrs(self, phase: int, t: float,
@@ -232,18 +256,10 @@ class Tracer:
         """records: (opcode, vl, dynamic count) batches."""
         if not self.enabled:
             return
-        from repro.trace.events import VectorInstrEvent
-
         for opcode, vl, count in records:
             self.vector_instrs.append(VectorInstrEvent(phase, opcode, vl, count, t))
 
     # -- views ---------------------------------------------------------------
-
-    def phases(self) -> list[int]:
-        return sorted({b.phase for b in self.blocks})
-
-    def phase_cycles(self, phase: int) -> float:
-        return sum(b.cycles for b in self.blocks if b.phase == phase)
 
     def total_cycles(self) -> float:
         return sum(b.cycles for b in self.blocks)
@@ -276,6 +292,55 @@ class Tracer:
         self.counters.clear()
         self.instrs.clear()
         self.raw_events.clear()
+
+
+@dataclass(frozen=True)
+class PhaseTraceStats:
+    """Per-phase aggregates computed purely from trace events."""
+
+    phase: int
+    cycles: float
+    vector_instrs: float
+    vl_sum: float
+    hierarchy: HierarchyCounts
+
+    @property
+    def avl(self) -> float:
+        return self.vl_sum / self.vector_instrs if self.vector_instrs else 0.0
+
+
+def phase_stats(tracer: Tracer) -> dict[int, PhaseTraceStats]:
+    """Aggregate a trace's block and vector-instruction events into
+    per-phase statistics.
+
+    This is the second, independent path to the paper's §2.2 numbers:
+    instead of reading the hardware counters, it sums the (Extrae-like)
+    block events and (Vehave-like) vector-instruction batches.  The test
+    suite checks both paths agree -- the same sanity the authors get
+    from combining tools.
+    """
+    cycles: Counter = Counter()
+    for b in tracer.blocks:
+        cycles[b.phase] += b.cycles
+    vec: Counter = Counter()
+    vl_sum: Counter = Counter()
+    hier: dict[int, HierarchyCounts] = {}
+    for e in tracer.vector_instrs:
+        spec = OPCODES[e.opcode]
+        hier.setdefault(e.phase, HierarchyCounts()).add(spec, e.count)
+        if spec.is_vector:
+            vec[e.phase] += e.count
+            vl_sum[e.phase] += e.vl * e.count
+    return {
+        p: PhaseTraceStats(
+            phase=p,
+            cycles=float(cycles.get(p, 0.0)),
+            vector_instrs=float(vec.get(p, 0.0)),
+            vl_sum=float(vl_sum.get(p, 0.0)),
+            hierarchy=hier.get(p, HierarchyCounts()),
+        )
+        for p in sorted(set(cycles) | set(vec))
+    }
 
 
 #: the ambient tracer slot; the default is a shared *disabled* tracer so

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.experiments.config import RunConfig
-from repro.experiments.journal import SweepJournal, repair_torn_tail  # noqa: F401
+from repro.experiments.journal import SweepJournal
 
 #: job states.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
@@ -156,7 +156,6 @@ def replay_service_journal(path: str | os.PathLike) -> Optional[ServiceState]:
     interrupted mid-flight come back ``queued`` with completion state
     intact.
     """
-    from repro.experiments.journal import replay_journal  # noqa: F401
     import json
     from pathlib import Path
 

@@ -4,7 +4,7 @@ vectorization-decision story (Table 4 structure)."""
 import numpy as np
 import pytest
 
-from repro.cfd.assembly import MiniApp, kernel_config_for
+from repro.cfd.assembly import MiniApp
 from repro.cfd.mesh import box_mesh
 from repro.machine.machines import RISCV_VEC
 
@@ -21,15 +21,13 @@ def remarks_by_phase(app: MiniApp) -> dict[int, list]:
     return out
 
 
-def test_kernel_config_levels():
-    cfg = kernel_config_for("scalar", 16)
-    assert not cfg.phase2_const_bound
-    cfg = kernel_config_for("vec2", 16)
-    assert cfg.phase2_const_bound and not cfg.phase2_interchanged
-    cfg = kernel_config_for("vec1", 16)
-    assert cfg.phase2_interchanged and cfg.phase1_fissioned
-    with pytest.raises(ValueError):
-        kernel_config_for("turbo", 16)
+def test_unknown_opt_rejected(mesh):
+    """An unknown rung is an error on both construction paths -- also
+    when an explicit pass list that spells no rung leaves it in place."""
+    with pytest.raises(ValueError, match="turbo"):
+        MiniApp(mesh, vector_size=16, opt="turbo")
+    with pytest.raises(ValueError, match="turbo"):
+        MiniApp(mesh, vector_size=16, opt="turbo", passes=("loop-fission",))
 
 
 def test_vanilla_gather_and_scatter_phases_never_vectorize(mesh):

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cfd.assembly import MiniApp, kernel_config_for
+from repro.cfd.assembly import MiniApp
 from repro.cfd.mesh import box_mesh
-from repro.cfd.phases import build_baseline_kernels, build_kernels
+from repro.cfd.phases import build_baseline_kernels
 from repro.compiler.transforms import pipeline_for_opt
 from repro.experiments.config import TINY_MESH, RunConfig
 from repro.experiments.executor import simulate_to_dict
@@ -54,14 +54,13 @@ def test_pipeline_counters_match_frozen_hand_variants(frozen, opt, vs):
 @pytest.mark.parametrize("opt",
                          ["scalar", "vanilla", "vec2", "ivec2", "vec1"])
 def test_build_kernels_equals_pipeline_over_baseline(opt):
-    """The KernelConfig shim and the rung pipeline agree exactly (IR
-    dataclass equality, which implies identical compiled programs)."""
+    """The rung pipeline over the baseline kernels is exactly what
+    MiniApp compiles (IR dataclass equality, which implies identical
+    compiled programs)."""
     app = MiniApp(box_mesh(4, 4, 4), 16, opt)
-    cfg = kernel_config_for(opt, 16)
-    via_shim = build_kernels(app.context.arrays, cfg)
     baseline = build_baseline_kernels(app.context.arrays, 16)
     via_pipeline, _ = pipeline_for_opt(opt).run_all(baseline)
-    assert via_shim == via_pipeline == app.kernels
+    assert via_pipeline == app.kernels
 
 
 def test_phases_module_has_no_hand_variants():

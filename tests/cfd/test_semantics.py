@@ -10,8 +10,9 @@ other.
 import numpy as np
 import pytest
 
-from repro.cfd.assembly import OPT_LEVELS, MiniApp
+from repro.cfd.assembly import MiniApp
 from repro.cfd.mesh import box_mesh
+from repro.compiler.transforms import OPT_PASSES
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -27,7 +28,7 @@ def reference_system(mesh):
     return MiniApp(mesh, vector_size=8, opt="scalar").run_numeric()
 
 
-@pytest.mark.parametrize("opt", OPT_LEVELS)
+@pytest.mark.parametrize("opt", OPT_PASSES)
 def test_interpreter_matches_reference(mesh, reference_system, opt):
     app = MiniApp(mesh, vector_size=8, opt=opt)
     interpreted = app.run_interpreted()
@@ -37,7 +38,7 @@ def test_interpreter_matches_reference(mesh, reference_system, opt):
                                rtol=RTOL, atol=ATOL)
 
 
-@pytest.mark.parametrize("opt", OPT_LEVELS[1:])
+@pytest.mark.parametrize("opt", tuple(OPT_PASSES)[1:])
 def test_all_optimizations_assemble_identically(mesh, reference_system, opt):
     system = MiniApp(mesh, vector_size=8, opt=opt).run_numeric()
     np.testing.assert_allclose(system.rhsid, reference_system.rhsid,

@@ -1,22 +1,41 @@
-"""Tests for the tracing toolchain: tracer, Paraver export, analysis."""
+"""Tests for the trace-side toolchain: block/vector-instruction events,
+Paraver export, the trace-derived phase metrics and the timeline view."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cfd.assembly import MiniApp
 from repro.cfd.mesh import box_mesh
 from repro.machine.cpu import Machine
 from repro.machine.machines import RISCV_VEC
-from repro.trace import Tracer, paraver, phase_stats, timeline
-from repro.trace.events import BlockEvent, VectorInstrEvent
+from repro.obs import (
+    BlockEvent,
+    Tracer,
+    VectorInstrEvent,
+    paraver,
+    phase_stats,
+)
+from repro.obs.render import timeline
+
+#: the trace-vs-counter cross-checks run on both timed paths: the
+#: assembly sweep (phases 1-8, tracer handed to the machine) and the
+#: assemble+solve cycle (phases 1-12, tracer installed ambiently).
+BOTH_PATHS = pytest.mark.parametrize("traced_run", ["assembly", "solve"],
+                                     indirect=True)
 
 
 @pytest.fixture(scope="module")
-def traced_run():
+def traced_run(request):
+    """A traced tiny-mesh vec1 run at VS=32 and its hardware counters."""
     app = MiniApp(box_mesh(4, 4, 4), vector_size=32, opt="vec1")
     tracer = Tracer()
-    machine = Machine(RISCV_VEC, tracer=tracer)
-    run = app.run_timed(RISCV_VEC, machine=machine)
+    if getattr(request, "param", "assembly") == "solve":
+        with obs.use(tracer):
+            run, _ = app.run_timed_solve(RISCV_VEC)
+    else:
+        machine = Machine(RISCV_VEC, tracer=tracer)
+        run = app.run_timed(RISCV_VEC, machine=machine)
     return tracer, run
 
 
@@ -24,18 +43,21 @@ def test_tracer_collects_events(traced_run):
     tracer, _ = traced_run
     assert tracer.blocks
     assert tracer.vector_instrs
-    assert tracer.phases() == list(range(1, 9))
+    assert sorted(phase_stats(tracer)) == list(range(1, 9))
 
 
+@BOTH_PATHS
 def test_trace_cycles_match_counters(traced_run):
     """Trace-derived cycles agree with the hardware counters -- the
     Extrae/Vehave cross-validation."""
     tracer, run = traced_run
     stats = phase_stats(tracer)
+    assert sorted(stats) == sorted(run.phases)
     for p, pc in run.phases.items():
         assert stats[p].cycles == pytest.approx(pc.cycles_total, rel=1e-9)
 
 
+@BOTH_PATHS
 def test_trace_vector_instrs_match_counters(traced_run):
     tracer, run = traced_run
     stats = phase_stats(tracer)
@@ -45,6 +67,7 @@ def test_trace_vector_instrs_match_counters(traced_run):
             assert stats[p].avl == pytest.approx(pc.vl_sum / pc.i_v)
 
 
+@BOTH_PATHS
 def test_trace_hierarchy_counts(traced_run):
     tracer, run = traced_run
     stats = phase_stats(tracer)
@@ -69,8 +92,10 @@ def test_paraver_roundtrip(traced_run):
     assert len(back.blocks) == len(tracer.blocks)
     assert len(back.vector_instrs) == len(tracer.vector_instrs)
     # phase cycle totals survive the (integer-timestamp) roundtrip
-    for p in tracer.phases():
-        assert back.phase_cycles(p) == pytest.approx(tracer.phase_cycles(p), rel=1e-3)
+    stats, back_stats = phase_stats(tracer), phase_stats(back)
+    assert sorted(back_stats) == sorted(stats)
+    for p, s in stats.items():
+        assert back_stats[p].cycles == pytest.approx(s.cycles, rel=1e-3)
 
 
 def test_paraver_file_io(tmp_path, traced_run):
@@ -107,7 +132,7 @@ def test_tracer_disabled_records_nothing():
     assert not t.blocks and not t.vector_instrs
 
 
-def test_tracer_clear(traced_run):
+def test_tracer_clear():
     t = Tracer()
     t.on_block(1, "x", "scalar", 0.0, 10.0)
     t.clear()

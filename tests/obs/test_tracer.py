@@ -1,5 +1,5 @@
 """Tests for the observability spine: contextvar scoping, span/event
-recording, the zero-cost disabled path, and the legacy hook interface."""
+recording, the zero-cost disabled path, and the machine hooks."""
 
 import pytest
 
@@ -126,8 +126,8 @@ def test_legacy_hooks_feed_block_views():
     t = Tracer()
     t.on_block(1, "b1", "scalar", 0.0, 10.0)
     t.on_block(2, "b2", "vector", 10.0, 30.0)
-    assert t.phases() == [1, 2]
-    assert t.phase_cycles(2) == 30.0
+    stats = obs.phase_stats(t)
+    assert {p: s.cycles for p, s in stats.items()} == {1: 10.0, 2: 30.0}
     assert t.total_cycles() == 40.0
 
 

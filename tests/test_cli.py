@@ -68,7 +68,7 @@ def test_trace_export(tmp_path, capsys):
     assert code == 0
     assert out_file.exists()
     assert "trace written" in out
-    from repro.trace import paraver
+    from repro.obs import paraver
 
     trace = paraver.load(out_file)
     assert trace.blocks
@@ -83,8 +83,7 @@ def test_trace_preset_and_chrome_export(tmp_path, capsys):
     assert "phase timeline" in out and "granted-vl histogram" in out
     # paraver companions land next to the .prv
     assert (tmp_path / "t.pcf").exists() and (tmp_path / "t.row").exists()
-    from repro.obs import chrome
-    from repro.trace import paraver
+    from repro.obs import chrome, paraver
 
     events = chrome.load(chrome_json)
     assert len(set(chrome.phase_span_names(events))) == 8

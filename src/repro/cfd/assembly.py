@@ -29,7 +29,7 @@ Optimization levels are cumulative, in paper order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -178,10 +178,7 @@ class MiniApp:
         }
         data: dict[str, np.ndarray] = {
             **gdata,
-            "lnods": self.context.lnods,
-            "ltype": self.context.ltype,
-            "lmate": self.context.lmate,
-            "kfl_sgs": self.context.kfl_sgs,
+            **self.context.int_tables,
             "elpos": self.elpos,
             **local,
         }

@@ -17,11 +17,16 @@ A :class:`MiniAppContext` owns the shared
 :class:`~repro.compiler.program.KernelInstance` per chunk: same arrays,
 same addresses, different chunk-base index constant and (for the
 interpreter/reference paths) different gather data.
+
+:func:`padded_chunks` and :func:`bind_chunk_instance` are the one
+chunking and binding rule shared by every context -- the assembly
+context here and :class:`repro.cfd.solver_phases.SolverContext`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -130,6 +135,56 @@ DEFAULT_PARAMS: dict[str, float] = {
 }
 
 
+def padded_chunks(n_real: int, n_padded: int,
+                  vector_size: int) -> list[Chunk]:
+    """Contiguous VECTOR_SIZE chunks over ``range(n_padded)``.
+
+    ``n_padded`` is a whole number of chunks; ids past ``n_real`` are
+    the padded tail, counted out of each chunk's ``n_real``.
+    """
+    out = []
+    for ci in range(n_padded // vector_size):
+        start = ci * vector_size
+        ids = np.arange(start, start + vector_size, dtype=np.int64)
+        out.append(Chunk(index=ci, elements=ids,
+                         n_real=max(0, min(vector_size, n_real - start))))
+    return out
+
+
+def bind_chunk_instance(context, chunk: Chunk, *, with_data: bool = False,
+                        globals_data: Mapping[str, np.ndarray] | None = None
+                        ) -> KernelInstance:
+    """Bind every array of *context* into one chunk's kernel instance.
+
+    One rule for every context: an array in ``globals_data`` is bound to
+    that data (by reference, so scatter-accumulates persist across
+    chunks); otherwise an ``i8`` global is bound from the context's own
+    ``int_tables`` (``ValueError`` if the context does not hold it);
+    otherwise the array gets zeroed data when ``with_data`` is set (the
+    interpreter / reference paths) or an address-only binding (the
+    timing path).
+    """
+    inst = KernelInstance(
+        params=context.params,
+        layout=context.layout,
+        index_consts={CHUNK_BASE: int(chunk.elements[0])},
+    )
+    gdata = globals_data or {}
+    for arr in context.arrays.values():
+        if arr.name in gdata:
+            inst.bind(arr, gdata[arr.name])
+        elif arr.dtype == "i8" and arr.scope == "global":
+            if arr.name not in context.int_tables:
+                raise ValueError(
+                    f"{arr.name} must be supplied via globals_data")
+            inst.bind(arr, context.int_tables[arr.name])
+        elif with_data:
+            inst.ensure_data(arr)
+        else:
+            inst.bind(arr)
+    return inst
+
+
 class MiniAppContext:
     """Shared memory layout + per-chunk instances for one configuration."""
 
@@ -153,6 +208,9 @@ class MiniAppContext:
         # subscale tracking is active for every element in this setup
         # (the compiler still cannot prove it and keeps the guard).
         self.kfl_sgs = np.ones(self.padded_nelem, dtype=np.int64)
+        #: the i8 global tables this context binds itself.
+        self.int_tables = {"lnods": self.lnods, "ltype": self.ltype,
+                           "lmate": self.lmate, "kfl_sgs": self.kfl_sgs}
         self.sizes = Sizes(
             vector_size=vector_size,
             npoin=mesh.npoin,
@@ -173,56 +231,17 @@ class MiniAppContext:
 
     def chunks(self) -> list[Chunk]:
         """Contiguous VECTOR_SIZE chunks over the padded element range."""
-        out = []
-        vs = self.vector_size
-        for ci in range(self.padded_nelem // vs):
-            start = ci * vs
-            ids = np.arange(start, start + vs, dtype=np.int64)
-            n_real = max(0, min(vs, self.mesh.nelem - start))
-            out.append(Chunk(index=ci, elements=ids, n_real=n_real))
-        return out
+        return padded_chunks(self.mesh.nelem, self.padded_nelem,
+                             self.vector_size)
 
     def instance_for_chunk(self, chunk: Chunk, *, with_data: bool = False,
                            globals_data: dict[str, np.ndarray] | None = None
                            ) -> KernelInstance:
-        """Build the kernel instance for one chunk.
-
-        The timing path only needs the integer gather tables (``lnods``,
-        ``ltype``, ``lmate``, ``elpos``); ``with_data`` additionally binds
-        float data so the interpreter / reference semantics can run.
-        ``globals_data`` supplies shared global arrays (bound by
-        reference, so scatter-accumulates persist across chunks).
-        """
-        inst = KernelInstance(
-            params=self.params,
-            layout=self.layout,
-            index_consts={CHUNK_BASE: int(chunk.elements[0])},
-        )
-        gdata = globals_data or {}
-        for arr in self.arrays.values():
-            if arr.name in gdata:
-                inst.bind(arr, gdata[arr.name])
-            elif arr.dtype == "i8" and arr.scope == "global":
-                inst.bind(arr, self._global_int_data(arr.name))
-            elif with_data:
-                inst.ensure_data(arr)
-            else:
-                inst.bind(arr)
-        return inst
-
-    def _global_int_data(self, name: str) -> np.ndarray:
-        if name == "lnods":
-            return self.lnods
-        if name == "ltype":
-            return self.ltype
-        if name == "lmate":
-            return self.lmate
-        if name == "kfl_sgs":
-            return self.kfl_sgs
-        if name == "elpos":
-            raise ValueError(
-                "elpos must be supplied via globals_data (built by repro.cfd.csr)")
-        raise KeyError(name)
+        """Build the kernel instance for one chunk (see
+        :func:`bind_chunk_instance`); ``elpos`` (built by
+        :mod:`repro.cfd.csr`) must come in ``globals_data``."""
+        return bind_chunk_instance(self, chunk, with_data=with_data,
+                                   globals_data=globals_data)
 
     def basis_data(self) -> dict[str, np.ndarray]:
         """Shape-function tables as global data arrays."""

@@ -9,9 +9,10 @@ Optional node renumbering randomizes node ids to emulate the indirection
 patterns of a genuinely unstructured mesh (scattered gather addresses).
 
 The mesh is processed in *chunks* of ``VECTOR_SIZE`` elements -- the
-compile-time packing parameter at the heart of the paper's study.  A
-trailing partial chunk is padded by repeating the last element, as Alya
-does, so kernels always see full chunks.
+compile-time packing parameter at the heart of the paper's study.  The
+element range is padded to a whole number of chunks, as Alya does, so
+kernels always see full chunks (see
+:func:`repro.cfd.kernel_context.padded_chunks`).
 """
 
 from __future__ import annotations
@@ -73,21 +74,6 @@ class Mesh:
     @property
     def nmate(self) -> int:
         return int(self.lmate.max()) + 1 if self.nelem else 0
-
-    def chunks(self, vector_size: int) -> list[Chunk]:
-        """Split the element range into VECTOR_SIZE packs (tail padded)."""
-        if vector_size <= 0:
-            raise ValueError("vector_size must be positive")
-        out: list[Chunk] = []
-        for ci, start in enumerate(range(0, self.nelem, vector_size)):
-            stop = min(start + vector_size, self.nelem)
-            ids = np.arange(start, stop, dtype=np.int64)
-            n_real = ids.size
-            if n_real < vector_size:
-                pad = np.full(vector_size - n_real, ids[-1], dtype=np.int64)
-                ids = np.concatenate([ids, pad])
-            out.append(Chunk(index=ci, elements=ids, n_real=n_real))
-        return out
 
     def element_volume_total(self) -> float:
         """Total mesh volume via the midpoint Jacobian (sanity metric)."""

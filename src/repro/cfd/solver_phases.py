@@ -47,7 +47,11 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.cfd.csr import CSRPattern, diagonal
-from repro.cfd.kernel_context import CHUNK_BASE
+from repro.cfd.kernel_context import (
+    CHUNK_BASE,
+    bind_chunk_instance,
+    padded_chunks,
+)
 from repro.cfd.mesh import Chunk
 from repro.cfd.phases import (
     C,
@@ -349,6 +353,8 @@ class SolverContext:
             padded_nrow=self.ellval.shape[1],
             rowlen=self.ellval.shape[0],
         )
+        #: the i8 global tables this context binds itself.
+        self.int_tables = {"ellcol": self.ellcol}
         self.arrays = declare_solver_arrays(self.sizes)
         self.layout = MemoryLayout()
         self.params: dict[str, float] = {"alpha": 1.0, **(params or {})}
@@ -357,14 +363,8 @@ class SolverContext:
 
     def chunks(self) -> list[Chunk]:
         """Contiguous VECTOR_SIZE row chunks over the padded row range."""
-        out = []
-        vs = self.vector_size
-        for ci in range(self.sizes.padded_nrow // vs):
-            start = ci * vs
-            ids = np.arange(start, start + vs, dtype=np.int64)
-            n_real = max(0, min(vs, self.sizes.nrow - start))
-            out.append(Chunk(index=ci, elements=ids, n_real=n_real))
-        return out
+        return padded_chunks(self.sizes.nrow, self.sizes.padded_nrow,
+                             self.vector_size)
 
     def solver_data(self) -> dict[str, np.ndarray]:
         """Fresh float/vector global data for a semantic run (shared by
@@ -382,26 +382,8 @@ class SolverContext:
     def instance_for_chunk(self, chunk: Chunk, *, with_data: bool = False,
                            globals_data: Optional[dict[str, np.ndarray]] = None
                            ) -> KernelInstance:
-        """Build the kernel instance for one row chunk.
-
-        The timing path only needs the integer gather table (``ellcol``,
-        held by the context); ``with_data`` additionally binds zeroed
-        float data; ``globals_data`` supplies shared arrays (bound by
-        reference, so vector updates persist across chunks).
-        """
-        inst = KernelInstance(
-            params=self.params,
-            layout=self.layout,
-            index_consts={CHUNK_BASE: int(chunk.elements[0])},
-        )
-        gdata = globals_data or {}
-        for arr in self.arrays.values():
-            if arr.name in gdata:
-                inst.bind(arr, gdata[arr.name])
-            elif arr.name == "ellcol":
-                inst.bind(arr, self.ellcol)
-            elif with_data:
-                inst.ensure_data(arr)
-            else:
-                inst.bind(arr)
-        return inst
+        """Build the kernel instance for one row chunk (see
+        :func:`~repro.cfd.kernel_context.bind_chunk_instance`); the
+        context binds ``ellcol`` itself."""
+        return bind_chunk_instance(self, chunk, with_data=with_data,
+                                   globals_data=globals_data)

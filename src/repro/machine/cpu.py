@@ -27,14 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.isa.instructions import ScalarOp
-from repro.machine.cache import MemoryHierarchy
-from repro.machine.params import MachineParams
-from repro.machine.vpu import VPUModel
-from repro.metrics.counters import PhaseCounters, RunCounters
 from repro.compiler.program import (
     AccessDesc,
-    Block,
     CompiledKernel,
     KernelInstance,
     ScalarBlock,
@@ -42,6 +36,11 @@ from repro.compiler.program import (
     byte_addresses,
     loop_grid,
 )
+from repro.isa.instructions import ScalarOp
+from repro.machine.cache import MemoryHierarchy
+from repro.machine.params import MachineParams
+from repro.machine.vpu import VPUModel
+from repro.metrics.counters import PhaseCounters, RunCounters
 
 
 def strip_lengths(total_trip: int, vl_max: int) -> list[int]:

@@ -25,6 +25,11 @@ The digest is a pure function of ``(kernels, field_seed)`` on the fixed
 probe; notably it does **not** depend on the run's own mesh or
 VECTOR_SIZE (different probe vector sizes pad differently and are *not*
 comparable, which is why the probe size is pinned).
+
+The solver phases 9-12 are fingerprinted the same way
+(:func:`solver_phase_digests`): both phase families go through one
+hashing loop, which differs per family only in the context, kernels,
+data and output table it is handed.
 """
 
 from __future__ import annotations
@@ -36,34 +41,46 @@ from typing import Optional
 
 import numpy as np
 
+from repro.compiler.ir import Kernel
 from repro.validation.golden import MutateHook
 from repro.validation.probe import Probe, resolve_probe
 
 
-def _compute_digests(probe: Probe,
-                     mutate: Optional[MutateHook]) -> dict[int, str]:
+def _hash_outputs(context, kernels: list[Kernel],
+                  data: dict[str, np.ndarray],
+                  outputs: dict[int, tuple[str, ...]],
+                  backend: str) -> dict[int, str]:
+    """Run *kernels* chunk by chunk over *context* on *data* (bound by
+    reference) and hash each phase's ``outputs[phase]`` arrays after
+    every chunk: one SHA-256 per phase."""
     from repro.backends import get_backend
-    from repro.cfd.reference import PHASE_OUTPUTS
 
-    backend = get_backend(probe.backend)
-    app = probe.build_app()
-    kernels = list(app.kernels)
-    if mutate is not None:
-        kernels = mutate(kernels)
-    gdata = app.global_float_data()
-    globals_data = {**gdata, "elpos": app.elpos}
-    hashers = {phase: hashlib.sha256() for phase in PHASE_OUTPUTS}
-    for chunk in app.chunks:
-        inst = app.context.instance_for_chunk(chunk, with_data=True,
-                                              globals_data=globals_data)
-        executor = backend.executor(inst, app.context.params)
+    be = get_backend(backend)
+    hashers = {phase: hashlib.sha256() for phase in outputs}
+    for chunk in context.chunks():
+        inst = context.instance_for_chunk(chunk, with_data=True,
+                                          globals_data=data)
+        executor = be.executor(inst, context.params)
         for kern in kernels:
             executor.run(kern)
-            for name in PHASE_OUTPUTS[kern.phase]:
+            for name in outputs[kern.phase]:
                 arr = np.ascontiguousarray(
                     np.asarray(inst.data(name), dtype=np.float64))
                 hashers[kern.phase].update(arr.tobytes())
     return {phase: h.hexdigest() for phase, h in sorted(hashers.items())}
+
+
+def _compute_digests(probe: Probe,
+                     mutate: Optional[MutateHook]) -> dict[int, str]:
+    from repro.cfd.reference import PHASE_OUTPUTS
+
+    app = probe.build_app()
+    kernels = list(app.kernels)
+    if mutate is not None:
+        kernels = mutate(kernels)
+    data = {**app.global_float_data(), "elpos": app.elpos}
+    return _hash_outputs(app.context, kernels, data, PHASE_OUTPUTS,
+                         probe.backend)
 
 
 @lru_cache(maxsize=64)
@@ -107,32 +124,20 @@ def phase_output_digests(opt: "str | Probe" = "vanilla",
 
 def _compute_solver_digests(probe: Probe, mutate: Optional[MutateHook],
                             workload=None) -> dict[int, str]:
-    from repro.backends import get_backend
     from repro.cfd.solver_phases import (
         SOLVER_PHASE_OUTPUTS,
         seeded_solver_inputs,
     )
 
-    backend = get_backend(probe.backend)
-    app = probe.build_app()
     if workload is None:
-        workload, _ = app.build_solver()
+        workload, _ = probe.build_app().build_solver()
     kernels = sorted(workload.kernels, key=lambda k: k.phase)
     if mutate is not None:
         kernels = mutate(list(kernels))
     ctx = workload.context
     data = seeded_solver_inputs(ctx, probe.field_seed)
-    hashers = {phase: hashlib.sha256() for phase in SOLVER_PHASE_OUTPUTS}
-    for chunk in ctx.chunks():
-        inst = ctx.instance_for_chunk(chunk, globals_data=data)
-        executor = backend.executor(inst, ctx.params)
-        for kern in kernels:
-            executor.run(kern)
-            for name in SOLVER_PHASE_OUTPUTS[kern.phase]:
-                arr = np.ascontiguousarray(
-                    np.asarray(inst.data(name), dtype=np.float64))
-                hashers[kern.phase].update(arr.tobytes())
-    return {phase: h.hexdigest() for phase, h in sorted(hashers.items())}
+    return _hash_outputs(ctx, kernels, data, SOLVER_PHASE_OUTPUTS,
+                         probe.backend)
 
 
 @lru_cache(maxsize=64)
@@ -148,10 +153,10 @@ def solver_phase_digests(opt: "str | Probe" = "vanilla",
                          workload=None) -> dict[int, str]:
     """SHA-256 fingerprint of every solver phase's executed outputs.
 
-    The solver twin of :func:`phase_output_digests`: the compiled SpMV /
-    dot / axpy / Jacobi-apply kernels (phases 9-12) run chunk by chunk
-    on seeded vectors over the probe's assembled (diagonal-shifted)
-    matrix, hashing each phase's output arrays
+    As :func:`phase_output_digests`, for the solver phases: the
+    compiled SpMV / dot / axpy / Jacobi-apply kernels (phases 9-12) run
+    chunk by chunk on seeded vectors over the probe's assembled
+    (diagonal-shifted) matrix, hashing each phase's output arrays
     (:data:`repro.cfd.solver_phases.SOLVER_PHASE_OUTPUTS`).  Honest
     rungs and honest backends all return the same digests; a tampered
     kernel list (``mutate``) or a fault-injected workload (``workload=``,

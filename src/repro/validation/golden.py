@@ -19,12 +19,16 @@ frozen equivalence fixture; sweeps that used to take minutes take
 seconds.  The chaos harness (:mod:`repro.faults`) additionally injects
 numeric faults through the ``corrupt`` hook to prove a poisoned lane is
 *detected* and pinned to the phase it struck.
+
+:func:`solver_golden_check` validates the solver phases 9-12 through the
+same per-chunk, per-kernel comparison loop (handed the solver context,
+reference table and output table), then adds an end-to-end solve stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -85,44 +89,33 @@ class GoldenReport:
         }
 
 
-def _check_kernels(report: GoldenReport, app: MiniApp,
-                   kernels: list[Kernel], *, stage: str = "",
-                   max_violations: int = 20,
-                   corrupt: Optional[CorruptHook] = None) -> None:
-    """Execute *kernels* (via ``report.backend``) against the NumPy
-    reference on *app*'s probe mesh, appending violations (labelled
-    *stage*) to *report*."""
-    ctx = app.context
+def _compare_chunks(report: GoldenReport, context, kernels: list[Kernel],
+                    ir_data: dict[str, np.ndarray],
+                    ref_data: dict[str, np.ndarray],
+                    reference: Mapping[int, Callable],
+                    outputs: dict[int, tuple[str, ...]], *, where: str,
+                    max_violations: int,
+                    corrupt: Optional[CorruptHook] = None) -> None:
+    """Run *kernels* (via ``report.backend``, globals bound by reference
+    from *ir_data*) and ``reference[phase]`` (on *ref_data*) side by
+    side over every chunk of *context*, comparing ``outputs[phase]``
+    after each phase; violations are prefixed with *where*."""
     backend = get_backend(report.backend)
-
-    # Backend side: globals bound by reference into each instance.
-    gdata = app.global_float_data()
-    globals_data = {**gdata, "elpos": app.elpos}
-
-    # Reference side: private copies of the float globals (both sides
-    # scatter-accumulate into their own rhsid/amatr) + gather tables.
-    ref_data: dict[str, np.ndarray] = {
-        **{name: arr.copy() for name, arr in gdata.items()},
-        "lnods": ctx.lnods, "ltype": ctx.ltype, "lmate": ctx.lmate,
-        "kfl_sgs": ctx.kfl_sgs, "elpos": app.elpos,
-    }
-    local_arrays = [a for a in ctx.arrays.values() if a.scope == "local"]
-    where = f"stage {stage} " if stage else ""
-
-    for chunk in app.chunks:
-        inst = ctx.instance_for_chunk(chunk, with_data=True,
-                                      globals_data=globals_data)
+    local_arrays = [a for a in context.arrays.values() if a.scope == "local"]
+    for chunk in context.chunks():
+        inst = context.instance_for_chunk(chunk, with_data=True,
+                                          globals_data=ir_data)
         # fresh chunk-local scratch, mirroring the instance's zeroed data.
         for arr in local_arrays:
             ref_data[arr.name] = np.zeros(arr.shape)
-        executor = backend.executor(inst, ctx.params)
+        executor = backend.executor(inst, context.params)
         for kern in kernels:
             phase = kern.phase
             executor.run(kern)
             if corrupt is not None:
                 corrupt(inst, phase, chunk.index)
-            REF_PHASES[phase - 1](ref_data, ctx.params, chunk.elements)
-            for name in PHASE_OUTPUTS[phase]:
+            reference[phase](ref_data, context.params, chunk.elements)
+            for name in outputs[phase]:
                 got = np.asarray(inst.data(name), dtype=np.float64)
                 want = np.asarray(ref_data[name], dtype=np.float64)
                 diff = np.abs(got - want)
@@ -136,6 +129,29 @@ def _check_kernels(report: GoldenReport, app: MiniApp,
                         f"{where}chunk {chunk.index} phase {phase} "
                         f"{name!r}: {int(bad.sum())} element(s) deviate, "
                         f"max abs error {err:.3e}")
+
+
+def _check_kernels(report: GoldenReport, app: MiniApp,
+                   kernels: list[Kernel], *, stage: str = "",
+                   max_violations: int = 20,
+                   corrupt: Optional[CorruptHook] = None) -> None:
+    """Execute *kernels* (via ``report.backend``) against the NumPy
+    reference on *app*'s probe mesh, appending violations (labelled
+    *stage*) to *report*."""
+    ctx = app.context
+    # Backend side: globals bound by reference into each instance.
+    gdata = app.global_float_data()
+    globals_data = {**gdata, "elpos": app.elpos}
+    # Reference side: private copies of the float globals (both sides
+    # scatter-accumulate into their own rhsid/amatr) + gather tables.
+    ref_data: dict[str, np.ndarray] = {
+        **{name: arr.copy() for name, arr in gdata.items()},
+        **ctx.int_tables, "elpos": app.elpos,
+    }
+    _compare_chunks(report, ctx, kernels, globals_data, ref_data,
+                    dict(enumerate(REF_PHASES, 1)), PHASE_OUTPUTS,
+                    where=f"stage {stage} " if stage else "",
+                    max_violations=max_violations, corrupt=corrupt)
 
 
 def golden_check(opt: "str | Probe" = "vanilla",
@@ -266,32 +282,12 @@ def solver_golden_check(opt: "str | Probe" = "vanilla",
 
     # -- stage 1: per-kernel, chunk by chunk ----------------------------
     report.stages.append(("solver-kernels",))
-    be = get_backend(report.backend)
     ctx = workload.context
     ir_data = seeded_solver_inputs(ctx, spec.field_seed)
     ref_data = {name: arr.copy() for name, arr in ir_data.items()}
-    for chunk in ctx.chunks():
-        inst = ctx.instance_for_chunk(chunk, globals_data=ir_data)
-        executor = be.executor(inst, ctx.params)
-        rows = chunk.elements
-        for kern in kernels:
-            phase = kern.phase
-            executor.run(kern)
-            SOLVER_REF_PHASES[phase](ref_data, ctx.params, rows)
-            for name in SOLVER_PHASE_OUTPUTS[phase]:
-                got = np.asarray(inst.data(name), dtype=np.float64)
-                want = np.asarray(ref_data[name], dtype=np.float64)
-                diff = np.abs(got - want)
-                err = float(diff.max()) if diff.size else 0.0
-                report.max_abs_error[phase] = max(
-                    report.max_abs_error.get(phase, 0.0), err)
-                bad = ~np.isclose(got, want, rtol=report.rtol,
-                                  atol=report.atol, equal_nan=False)
-                if bad.any() and len(report.violations) < max_violations:
-                    report.violations.append(
-                        f"solver chunk {chunk.index} phase {phase} "
-                        f"{name!r}: {int(bad.sum())} element(s) deviate, "
-                        f"max abs error {err:.3e}")
+    _compare_chunks(report, ctx, kernels, ir_data, ref_data,
+                    SOLVER_REF_PHASES, SOLVER_PHASE_OUTPUTS,
+                    where="solver ", max_violations=max_violations)
 
     # -- stage 2: end-to-end IR solve vs NumPy solver reference ---------
     report.stages.append((f"solver-e2e:{method}",))

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cfd.assembly import MiniApp
 from repro.cfd.csr import build_pattern
 from repro.cfd.elements import HEX08, NDIME, NGAUS, PNODE
 from repro.cfd.kernel_context import (
@@ -92,6 +94,13 @@ def test_instance_integer_tables_bound_automatically(ctx, elpos):
     # float arrays carry no data on the timing path
     with pytest.raises(ValueError):
         inst.data("elunk")
+    # the solver context binds by the same rule: its i8 table (ellcol)
+    # from the context, float arrays address-only
+    sctx = MiniApp(ctx.mesh, vector_size=8).build_solver()[0].context
+    sinst = sctx.instance_for_chunk(sctx.chunks()[0])
+    assert sinst.data("ellcol") is sctx.ellcol
+    with pytest.raises(ValueError):
+        sinst.data("xvec")
 
 
 def test_instance_with_data_binds_everything(ctx, elpos):
@@ -103,7 +112,30 @@ def test_instance_with_data_binds_everything(ctx, elpos):
 
 def test_elpos_requires_globals_data(ctx):
     with pytest.raises(ValueError, match="elpos"):
-        ctx._global_int_data("elpos")
+        ctx.instance_for_chunk(ctx.chunks()[0])
+
+
+def _assembly_context(mesh, vs):
+    return MiniAppContext(mesh, vs, nnz=build_pattern(mesh).nnz), mesh.nelem
+
+
+def _solver_context(mesh, vs):
+    workload, _ = MiniApp(mesh, vs).build_solver()
+    return workload.context, mesh.npoin
+
+
+@pytest.mark.parametrize("make_context", [_assembly_context, _solver_context],
+                         ids=["assembly", "solver"])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 40))
+def test_chunk_invariants(make_context, nx, ny, nz, vs):
+    context, n_real = make_context(box_mesh(nx, ny, nz), vs)
+    chunks = context.chunks()
+    assert sum(c.n_real for c in chunks) == n_real
+    assert all(c.size == vs for c in chunks)
+    ids = np.concatenate([c.elements for c in chunks])
+    np.testing.assert_array_equal(ids, np.arange(len(chunks) * vs))
 
 
 def test_default_params_contain_stabilization_constants():

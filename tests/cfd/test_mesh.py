@@ -38,30 +38,6 @@ def test_renumbering_preserves_geometry():
     assert not np.array_equal(plain.lnods, shuffled.lnods)
 
 
-def test_chunks_exact_division():
-    m = box_mesh(4, 2, 2)  # 16 elements
-    chunks = m.chunks(8)
-    assert len(chunks) == 2
-    assert all(c.size == 8 for c in chunks)
-    assert all(c.n_real == 8 for c in chunks)
-    ids = np.concatenate([c.elements for c in chunks])
-    np.testing.assert_array_equal(ids, np.arange(16))
-
-
-def test_chunks_padding_repeats_last_element():
-    m = box_mesh(3, 2, 2)  # 12 elements
-    chunks = m.chunks(8)
-    assert len(chunks) == 2
-    tail = chunks[-1]
-    assert tail.n_real == 4
-    assert np.all(tail.elements[4:] == 11)
-
-
-def test_chunks_bad_size():
-    with pytest.raises(ValueError):
-        box_mesh(2, 2, 2).chunks(0)
-
-
 def test_mesh_validation():
     m = box_mesh(2, 2, 2)
     bad = m.lnods.copy()
@@ -77,18 +53,6 @@ def test_node_coordinates_lexicographic():
     # node id = ix + iy*3 + iz*9; node 0 at origin, node 13 at center
     np.testing.assert_allclose(m.coord[0], [0, 0, 0])
     np.testing.assert_allclose(m.coord[13], [1, 1, 1])
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-       st.integers(1, 40))
-def test_chunk_invariants(nx, ny, nz, vs):
-    m = box_mesh(nx, ny, nz)
-    chunks = m.chunks(vs)
-    assert sum(c.n_real for c in chunks) == m.nelem
-    assert all(c.size == vs for c in chunks)
-    assert all(0 <= c.elements.min() and c.elements.max() < m.nelem
-               for c in chunks)
 
 
 @settings(max_examples=10, deadline=None)

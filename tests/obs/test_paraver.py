@@ -125,20 +125,6 @@ def test_timeline_empty_trace():
     assert timeline(Tracer()) == []
 
 
-def test_tracer_disabled_records_nothing():
-    t = Tracer(enabled=False)
-    t.on_block(1, "x", "scalar", 0.0, 10.0)
-    t.on_vector_instrs(1, 0.0, [("vle", 64, 2)])
-    assert not t.blocks and not t.vector_instrs
-
-
-def test_tracer_clear():
-    t = Tracer()
-    t.on_block(1, "x", "scalar", 0.0, 10.0)
-    t.clear()
-    assert not t.blocks
-
-
 @settings(deadline=None, max_examples=25)
 @given(st.lists(
     st.tuples(
